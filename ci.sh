@@ -2,12 +2,13 @@
 # Repository CI gate. Run from the repo root; fails fast on the first
 # broken step.
 #
-#   1. release build of the whole workspace
+#   1. release build of the whole workspace, plus the standalone
+#      perfbench benchmark (a removed public item it imports fails here)
 #   2. full test suite
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
-#   4. rustdoc with warnings denied — any workspace call to a
-#      `#[deprecated]` predict* shim fails the build here
+#   4. rustdoc with warnings denied (broken or private intra-doc
+#      links and any deprecated call fail the build here)
 #   5. fault-injection suite: every mutator over all 40 workloads must
 #      yield a typed error or a finite CPI — never a panic; plus the
 #      exec-layer suite (injected worker panics / poisoned queue)
@@ -59,6 +60,7 @@ cd "$(dirname "$0")"
 
 echo "== cargo build --release =="
 cargo build --release --workspace
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test =="
 cargo test --workspace -q
@@ -66,7 +68,7 @@ cargo test --workspace -q
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc (deprecation warnings denied) =="
+echo "== cargo doc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== fault injection =="

@@ -18,11 +18,7 @@ const KERNELS: [&str; 3] = ["sdk_blackscholes", "parboil_mriq_computeQ", "sdk_mo
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let blocks = args
-        .iter()
-        .position(|a| a == "--blocks")
-        .and_then(|i| args.get(i + 1))
-        .map_or(64, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
+    let blocks = gpumech_bench::arg_value(&args, "--blocks").map_or(64, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
 
     println!("# Ablation: SFU-contention extension (RR policy)");
     println!("# sweep: 32 (Table I default), 8, 4 SFU lanes per core\n");

@@ -7,7 +7,7 @@
 //!
 //! Usage: `fig04_case_study [--blocks N] [--kernel NAME]`
 
-use gpumech_bench::{evaluate_kernel, pct, Experiment};
+use gpumech_bench::{arg_value, evaluate_kernel, pct, Experiment};
 use gpumech_core::Model;
 use gpumech_trace::workloads;
 
@@ -35,8 +35,4 @@ fn main() {
         "\npaper reference: modeling multithreading, MSHRs, and DRAM bandwidth\n\
          each cuts the SRAD error further (Figure 4's staircase)"
     );
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

@@ -8,6 +8,7 @@
 //!
 //! Usage: `fig07_selection [--blocks N]`
 
+use gpumech_bench::{arg_value, pct};
 use gpumech_core::{Gpumech, PredictionRequest, SelectionMethod};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::simulate;
@@ -67,12 +68,4 @@ fn main() {
         "\npaper reference: on control-divergent kernels the clustering method\n\
          usually has the best accuracy; for some kernels all three tie"
     );
-}
-
-fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

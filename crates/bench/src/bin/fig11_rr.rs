@@ -9,8 +9,8 @@
 //! Usage: `fig11_rr [--blocks N] [--json PATH]`
 
 use gpumech_bench::{
-    dump_json, evaluate_kernel, fraction_below, mean_error, pct, print_error_table, Experiment,
-    KernelEval,
+    arg_value, dump_json, evaluate_kernel, fraction_below, mean_error, pct, print_error_table,
+    Experiment, KernelEval,
 };
 use gpumech_core::Model;
 use gpumech_trace::workloads;
@@ -64,8 +64,4 @@ fn main() {
         dump_json(&evals, &path).unwrap_or_else(|e| gpumech_bench::fail(format!("write json failed: {e}")));
         eprintln!("wrote {path}");
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

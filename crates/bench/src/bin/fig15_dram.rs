@@ -6,7 +6,7 @@
 //!
 //! Usage: `fig15_dram [--blocks N] [--json PATH]`
 
-use gpumech_bench::{dump_json, evaluate_kernel, mean_error, pct, Experiment, KernelEval};
+use gpumech_bench::{arg_value, dump_json, evaluate_kernel, mean_error, pct, Experiment, KernelEval};
 use gpumech_core::Model;
 use gpumech_isa::SimConfig;
 use gpumech_trace::workloads;
@@ -56,8 +56,4 @@ fn main() {
         dump_json(&all_evals, &path).unwrap_or_else(|e| gpumech_bench::fail(format!("write json failed: {e}")));
         eprintln!("wrote {path}");
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

@@ -10,6 +10,7 @@
 //!
 //! Usage: `fig16_cpi_stacks [--blocks N]`
 
+use gpumech_bench::arg_value;
 use gpumech_core::{CpiStack, Gpumech, PredictionRequest, StallCategory};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::simulate;
@@ -64,8 +65,4 @@ fn main() {
          cfd_compute_flux saturates around 32 warps as MSHR grows;\n\
          kmeans_invert_mapping is dominated by QUEUE (write traffic), not DRAM"
     );
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use gpumech_bench::{fraction_below, mean_error, KernelEval};
+use gpumech_bench::{arg_value, fraction_below, mean_error, KernelEval};
 use gpumech_core::Model;
 
 fn load(dir: &Path, name: &str) -> Option<Vec<KernelEval>> {
@@ -94,11 +94,8 @@ fn warning_table(evals: &[KernelEval]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let dir = get("--dir").unwrap_or_else(|| "results".to_string());
-    let out_path = get("--out").unwrap_or_else(|| format!("{dir}/report.md"));
+    let dir = arg_value(&args, "--dir").unwrap_or_else(|| "results".to_string());
+    let out_path = arg_value(&args, "--out").unwrap_or_else(|| format!("{dir}/report.md"));
     let dir = Path::new(&dir);
 
     let mut out = String::from("# GPUMech reproduction — generated report\n\n");

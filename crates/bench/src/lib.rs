@@ -8,6 +8,7 @@
 //! the same rows/series the paper plots. Results can also be dumped as
 //! JSON for EXPERIMENTS.md bookkeeping.
 
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use gpumech_core::{Gpumech, Model, Prediction, PredictionRequest, SelectionMethod};
@@ -31,6 +32,32 @@ pub const DEFAULT_BLOCKS: usize = 192;
 pub fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1)
+}
+
+/// The value following `flag` in the harness's command line
+/// (`--blocks 48` yields `"48"`), if the flag was given.
+#[must_use]
+pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+}
+
+/// `true` when the bare switch `name` (e.g. `--quick`) was given.
+#[must_use]
+pub fn arg_switch(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
+}
+
+/// The `gpumech` binary a harness drives: the path given with `flag`, or
+/// a sibling of the running executable.
+#[must_use]
+pub fn gpumech_bin(args: &[String], flag: &str) -> PathBuf {
+    if let Some(p) = arg_value(args, flag) {
+        return PathBuf::from(p);
+    }
+    std::env::current_exe()
+        .ok()
+        .and_then(|p| p.parent().map(|d| d.join("gpumech")))
+        .unwrap_or_else(|| fail("cannot locate the gpumech binary"))
 }
 
 /// One kernel evaluated under one configuration and policy: the oracle

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use gpumech_analyze::{analyze, KernelAnalysis, Severity};
 use gpumech_core::{
-    summarize_population, Gpumech, Model, Prediction, PredictionRequest, SchedulingPolicy,
-    SelectionMethod, StallCategory, Weighting,
+    summarize_population, Gpumech, Model, OptionError, Prediction, PredictionRequest,
+    RequestOptions, ResolvedOptions, SelectionMethod, StallCategory,
 };
 use gpumech_exec::{
     analysis_config_fingerprint, job_fingerprints, BatchEngine, BatchError, BatchJob,
@@ -27,7 +27,6 @@ use gpumech_shard::{
 };
 use gpumech_timing::simulate;
 use gpumech_trace::{workloads, TraceError, Workload};
-use serde::Value;
 
 use crate::args::{ArgError, Args};
 use crate::USAGE;
@@ -172,22 +171,30 @@ where
     Ok(out)
 }
 
-fn machine_config(args: &Args) -> Result<SimConfig, CliError> {
-    let mut cfg = SimConfig::table1();
-    if let Some(w) = args.flag_opt::<usize>("warps")? {
-        cfg = cfg.with_warps_per_core(w);
+impl From<OptionError> for CliError {
+    fn from(e: OptionError) -> Self {
+        match e {
+            OptionError::BadChoice { field, value, expected } => {
+                CliError::BadChoice { flag: field, value, expected }
+            }
+            OptionError::Config(e) => CliError::Config(e.to_string()),
+        }
     }
-    if let Some(m) = args.flag_opt::<usize>("mshrs")? {
-        cfg = cfg.with_mshrs(m);
-    }
-    if let Some(b) = args.flag_opt::<f64>("bw")? {
-        cfg = cfg.with_dram_bandwidth(b);
-    }
-    if let Some(s) = args.flag_opt::<usize>("sfu")? {
-        cfg = cfg.with_sfu_per_core(s);
-    }
-    cfg.validate().map_err(|e| CliError::Config(e.to_string()))?;
-    Ok(cfg)
+}
+
+/// The machine and prediction flags, resolved. A flag the subcommand
+/// does not accept is absent and takes its default.
+fn resolve_options(args: &Args) -> Result<ResolvedOptions, CliError> {
+    let opts = RequestOptions {
+        warps: args.flag_opt("warps")?,
+        mshrs: args.flag_opt("mshrs")?,
+        bw: args.flag_opt("bw")?,
+        sfu: args.flag_opt("sfu")?,
+        policy: args.flag("policy"),
+        model: args.flag("model"),
+        selection: args.flag("selection"),
+    };
+    Ok(opts.resolve()?)
 }
 
 fn lookup(args: &Args) -> Result<Workload, CliError> {
@@ -197,33 +204,6 @@ fn lookup(args: &Args) -> Result<Workload, CliError> {
         Some(b) => w.with_blocks(b),
         None => w,
     })
-}
-
-fn policy(args: &Args) -> Result<SchedulingPolicy, CliError> {
-    match args.flag("policy").unwrap_or("rr") {
-        "rr" => Ok(SchedulingPolicy::RoundRobin),
-        "gto" => Ok(SchedulingPolicy::GreedyThenOldest),
-        other => Err(CliError::BadChoice {
-            flag: "policy",
-            value: other.to_string(),
-            expected: "rr|gto",
-        }),
-    }
-}
-
-fn model_kind(args: &Args) -> Result<Model, CliError> {
-    match args.flag("model").unwrap_or("full") {
-        "naive" => Ok(Model::NaiveInterval),
-        "markov" => Ok(Model::MarkovChain),
-        "mt" => Ok(Model::Mt),
-        "mt_mshr" => Ok(Model::MtMshr),
-        "full" | "mt_mshr_band" => Ok(Model::MtMshrBand),
-        other => Err(CliError::BadChoice {
-            flag: "model",
-            value: other.to_string(),
-            expected: "naive|markov|mt|mt_mshr|full",
-        }),
-    }
 }
 
 /// Dispatches one invocation; returns the text to print.
@@ -354,7 +334,7 @@ fn cmd_list(_args: &Args) -> Result<String, CliError> {
 }
 
 fn cmd_config(args: &Args) -> Result<String, CliError> {
-    let cfg = machine_config(args)?;
+    let cfg = resolve_options(args)?.config;
     Ok(format!(
         "cores: {}\nclock: {} GHz\nwarps/core: {}\nissue width: {}\n\
          L1: {} KB, {}-way, {} cycles, {} MSHRs\nL2: {} KB, {}-way, {} cycles\n\
@@ -429,45 +409,25 @@ fn render_prediction(p: &Prediction, header: &str) -> String {
     out
 }
 
-/// Parses `--selection max|min|clustering|weighted` into the request's
-/// (method, weighting) pair. `weighted` is clustering selection with
-/// population weighting, matching [`PredictionRequest::population_weighted`].
-fn selection_flags(args: &Args) -> Result<(SelectionMethod, Weighting), CliError> {
-    match args.flag("selection").unwrap_or("clustering") {
-        "max" => Ok((SelectionMethod::Max, Weighting::SingleRepresentative)),
-        "min" => Ok((SelectionMethod::Min, Weighting::SingleRepresentative)),
-        "clustering" => Ok((SelectionMethod::Clustering, Weighting::SingleRepresentative)),
-        "weighted" => Ok((SelectionMethod::Clustering, Weighting::PopulationWeighted)),
-        other => Err(CliError::BadChoice {
-            flag: "selection",
-            value: other.to_string(),
-            expected: "max|min|clustering|weighted",
-        }),
-    }
-}
-
 fn cmd_predict(args: &Args) -> Result<String, CliError> {
     let w = lookup(args)?;
-    let cfg = machine_config(args)?;
-    let pol = policy(args)?;
-    let kind = model_kind(args)?;
+    let opts = resolve_options(args)?;
     let trace = w.trace().map_err(|e| CliError::Model(e.to_string()))?;
-    let model = Gpumech::new(cfg);
+    let model = Gpumech::new(opts.config);
     let analysis = model.analyze(&trace).map_err(|e| CliError::Model(e.to_string()))?;
-    let (sel, weighting) = selection_flags(args)?;
     let req = PredictionRequest::from_analysis(&analysis)
-        .policy(pol)
-        .model(kind)
-        .selection(sel)
-        .weighting(weighting);
+        .policy(opts.policy)
+        .model(opts.model)
+        .selection(opts.selection)
+        .weighting(opts.weighting);
     let p = model.run(&req).map_err(|e| CliError::Model(e.to_string()))?;
-    Ok(render_prediction(&p, &format!("kernel: {} ({} policy, {})", w.name, pol, kind)))
+    let header = format!("kernel: {} ({} policy, {})", w.name, opts.policy, opts.model);
+    Ok(render_prediction(&p, &header))
 }
 
 fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let w = lookup(args)?;
-    let cfg = machine_config(args)?;
-    let pol = policy(args)?;
+    let ResolvedOptions { config: cfg, policy: pol, .. } = resolve_options(args)?;
     let trace = w.trace().map_err(|e| CliError::Model(e.to_string()))?;
     let t0 = std::time::Instant::now();
     let r = simulate(&trace, &cfg, pol).map_err(|e| CliError::Model(e.to_string()))?;
@@ -487,8 +447,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 
 fn cmd_compare(args: &Args) -> Result<String, CliError> {
     let w = lookup(args)?;
-    let cfg = machine_config(args)?;
-    let pol = policy(args)?;
+    let ResolvedOptions { config: cfg, policy: pol, .. } = resolve_options(args)?;
     let trace = w.trace().map_err(|e| CliError::Model(e.to_string()))?;
     let oracle = simulate(&trace, &cfg, pol).map_err(|e| CliError::Model(e.to_string()))?;
     let model = Gpumech::new(cfg);
@@ -519,7 +478,7 @@ fn cmd_compare(args: &Args) -> Result<String, CliError> {
 
 fn cmd_stacks(args: &Args) -> Result<String, CliError> {
     let w = lookup(args)?;
-    let pol = policy(args)?;
+    let pol = resolve_options(args)?.policy;
     let trace = w.trace().map_err(|e| CliError::Model(e.to_string()))?;
     let mut out = format!("kernel: {} ({pol} policy)\n", w.name);
     out.push_str(&format!("{:<8}", "warps"));
@@ -586,10 +545,8 @@ enum SweepEntry {
 }
 
 fn cmd_batch(args: &Args) -> Result<String, CliError> {
-    let cfg = machine_config(args)?;
-    let pol = policy(args)?;
-    let kind = model_kind(args)?;
-    let (sel, weighting) = selection_flags(args)?;
+    let ResolvedOptions { config: cfg, policy: pol, model: kind, selection: sel, weighting } =
+        resolve_options(args)?;
     let workers: usize = args.flag_or("workers", 4)?;
     let blocks = args.flag_opt::<usize>("blocks")?;
     let shard: ShardSpec = match args.flag("shard") {
@@ -1099,7 +1056,7 @@ fn profile_pipeline(
 
 fn cmd_profile(args: &Args) -> Result<String, CliError> {
     let w = lookup(args)?;
-    let cfg = machine_config(args)?;
+    let cfg = resolve_options(args)?.config;
 
     // `profile` is the observability entry point: it always records, and
     // appends the per-stage report and recorder summary to its output.
@@ -1310,7 +1267,7 @@ fn cmd_perf_compare(args: &Args, opts: &SuiteOptions) -> Result<String, CliError
 
 fn cmd_intervals(args: &Args) -> Result<String, CliError> {
     let w = lookup(args)?;
-    let cfg = machine_config(args)?;
+    let cfg = resolve_options(args)?.config;
     let limit: usize = args.flag_or("limit", 20)?;
     let trace = w.trace().map_err(|e| CliError::Model(e.to_string()))?;
     let model = Gpumech::new(cfg);
@@ -1346,249 +1303,28 @@ fn cmd_intervals(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn field_u64(v: &Value, key: &str) -> Option<u64> {
-    v.get_field(key).and_then(Value::as_u64)
-}
-
-fn field_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
-    match v.get_field(key) {
-        Some(Value::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn u64_or_null(v: &Value, key: &str) -> bool {
-    matches!(v.get_field(key), Some(Value::Null)) || field_u64(v, key).is_some()
-}
-
-fn num_or_null(v: &Value, key: &str) -> bool {
-    matches!(v.get_field(key), Some(Value::Null))
-        || v.get_field(key).and_then(Value::as_f64).is_some()
-}
-
-/// Stage families a conforming export may emit under — the short crate
-/// names of every instrumented layer (`test` covers unit-test fixtures).
-const STAGE_FAMILIES: [&str; 14] = [
-    "isa", "analyze", "trace", "mem", "timing", "core", "exec", "serve", "cli", "bench", "fault",
-    "perf", "shard", "test",
-];
-
-/// Subsystems the `perf.*` family is allowed to emit under: the suite's
-/// stage spans, the allocation counters, and the benchmark metrics.
-const PERF_SUBSYSTEMS: [&str; 3] = ["suite", "alloc", "bench"];
-
-/// Checks one scheme-shaped name against the stage-family allowlist, and
-/// the `perf.*` family against its subsystem allowlist.
-fn check_name_family(name: &str, what: &str, lineno: usize, problems: &mut Vec<String>) {
-    let mut segs = name.split('.');
-    let stage = segs.next().unwrap_or("");
-    if !STAGE_FAMILIES.contains(&stage) {
-        problems.push(format!(
-            "line {lineno}: {what} name {name:?} uses unknown stage family {stage:?}"
-        ));
-        return;
-    }
-    if stage == "perf" {
-        let sub = segs.next().unwrap_or("");
-        if !PERF_SUBSYSTEMS.contains(&sub) {
-            problems.push(format!(
-                "line {lineno}: {what} name {name:?} outside the perf.* family \
-                 (subsystem must be one of suite|alloc|bench)"
-            ));
-        }
-    }
-}
-
-/// Checks the `name` field of an obs line against the
-/// `stage.subsystem.name` scheme and the stage-family allowlist.
-fn check_obs_name(v: &Value, what: &str, lineno: usize, problems: &mut Vec<String>) {
-    match field_str(v, "name") {
-        None => problems.push(format!("line {lineno}: {what} missing string \"name\"")),
-        Some(name) if !gpumech_obs::valid_metric_name(name) => problems.push(format!(
-            "line {lineno}: {what} name {name:?} outside the stage.subsystem.name scheme"
-        )),
-        Some(name) => check_name_family(name, what, lineno, problems),
-    }
-}
-
-const METRIC_KINDS: [&str; 3] = ["counter", "gauge", "histogram"];
-
-fn check_obs_kind(v: &Value, what: &str, lineno: usize, problems: &mut Vec<String>) {
-    match field_str(v, "kind") {
-        Some(k) if METRIC_KINDS.contains(&k) => {}
-        Some(k) => problems.push(format!(
-            "line {lineno}: {what} kind {k:?} not one of counter|gauge|histogram"
-        )),
-        None => problems.push(format!("line {lineno}: {what} missing string \"kind\"")),
-    }
-}
-
-/// Schema check for one parsed JSONL line; tallies the line type into
-/// `counts` (meta, span, metric, aggregate) and appends problems.
-fn check_obs_line(v: &Value, lineno: usize, counts: &mut [usize; 4], problems: &mut Vec<String>) {
-    let Some(ty) = field_str(v, "type") else {
-        problems.push(format!("line {lineno}: missing string \"type\" field"));
-        return;
-    };
-    match ty {
-        "meta" => {
-            counts[0] += 1;
-            if field_u64(v, "version") != Some(1) {
-                problems.push(format!("line {lineno}: meta version must be 1"));
-            }
-            if field_u64(v, "dropped_samples").is_none() {
-                problems.push(format!("line {lineno}: meta missing integer \"dropped_samples\""));
-            }
-            match v.get_field("invalid_names") {
-                Some(Value::Array(names)) => {
-                    for n in names {
-                        if let Value::Str(s) = n {
-                            problems.push(format!(
-                                "line {lineno}: recorder saw name {s:?} outside the \
-                                 stage.subsystem.name scheme"
-                            ));
-                        }
-                    }
-                }
-                _ => problems
-                    .push(format!("line {lineno}: meta missing \"invalid_names\" array")),
-            }
-        }
-        "span" => {
-            counts[1] += 1;
-            for key in ["id", "thread", "start_ns"] {
-                if field_u64(v, key).is_none() {
-                    problems.push(format!("line {lineno}: span missing integer {key:?}"));
-                }
-            }
-            for key in ["dur_ns", "parent"] {
-                if !u64_or_null(v, key) {
-                    problems.push(format!("line {lineno}: span {key:?} must be integer or null"));
-                }
-            }
-            check_obs_name(v, "span", lineno, problems);
-        }
-        "metric" => {
-            counts[2] += 1;
-            check_obs_kind(v, "metric", lineno, problems);
-            check_obs_name(v, "metric", lineno, problems);
-            if field_u64(v, "ts_ns").is_none() {
-                problems.push(format!("line {lineno}: metric missing integer \"ts_ns\""));
-            }
-            if !num_or_null(v, "value") {
-                problems.push(format!("line {lineno}: metric \"value\" must be number or null"));
-            }
-        }
-        "aggregate" => {
-            counts[3] += 1;
-            check_obs_kind(v, "aggregate", lineno, problems);
-            check_obs_name(v, "aggregate", lineno, problems);
-            // Histogram aggregates carry the quantile-histogram schema:
-            // count/sum plus min/max and p50/p90/p99 (number, or null
-            // before any finite observation) and populated log buckets.
-            if field_str(v, "kind") == Some("histogram") {
-                if field_u64(v, "count").is_none() {
-                    problems
-                        .push(format!("line {lineno}: histogram missing integer \"count\""));
-                }
-                for key in ["min", "max", "p50", "p90", "p99"] {
-                    if !num_or_null(v, key) {
-                        problems.push(format!(
-                            "line {lineno}: histogram {key:?} must be number or null"
-                        ));
-                    }
-                }
-                match v.get_field("buckets") {
-                    Some(Value::Array(_)) => {}
-                    _ => problems
-                        .push(format!("line {lineno}: histogram missing \"buckets\" array")),
-                }
-            }
-        }
-        other => problems.push(format!("line {lineno}: unknown line type {other:?}")),
-    }
-}
-
-/// Validates a `--folded-out` folded-stack export: every line is
-/// `frame(;frame)* <u64>` with scheme-valid frame names.
-fn validate_folded(path: &str, text: &str) -> Result<String, CliError> {
-    let mut problems: Vec<String> = Vec::new();
-    let mut stacks = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            problems.push(format!("line {lineno}: empty line"));
-            continue;
-        }
-        let Some((stack, value)) = line.rsplit_once(' ') else {
-            problems.push(format!("line {lineno}: no value column (expected \"stack <u64>\")"));
-            continue;
-        };
-        if value.parse::<u64>().is_err() {
-            problems.push(format!("line {lineno}: value {value:?} is not an unsigned integer"));
-        }
-        for frame in stack.split(';') {
-            if !gpumech_obs::valid_metric_name(frame) {
-                problems.push(format!(
-                    "line {lineno}: frame {frame:?} outside the stage.subsystem.name scheme"
-                ));
-            } else {
-                check_name_family(frame, "frame", lineno, &mut problems);
-            }
-        }
-        stacks += 1;
-    }
-    if problems.is_empty() {
-        Ok(format!("{path}: valid folded stacks — {stacks} stack line(s)\n"))
-    } else {
-        let mut report = String::new();
-        for p in &problems {
-            report.push_str(&format!("{path}: {p}\n"));
-        }
-        Err(CliError::ObsInvalid { report, problems: problems.len() })
-    }
-}
-
-/// Validates a `--obs-out` JSONL trace: every line parses, matches one of
-/// the four schemas, and every span/metric name is within the
-/// `stage.subsystem.name` scheme (including the stage-family and
-/// `perf.*` allowlists). With `--folded`, validates a folded-stack
-/// export instead. Exits nonzero on any violation.
+/// Validates a `--obs-out` JSONL trace (or, with `--folded`, a
+/// folded-stack export) against the exporter schema and the
+/// `stage.subsystem.name` scheme. Exits nonzero on any violation.
 fn cmd_obs_validate(args: &Args) -> Result<String, CliError> {
     let path = args.required(0, "path")?;
     let text = std::fs::read_to_string(path)?;
-    if args.switch("folded") {
-        return validate_folded(path, &text);
-    }
-    let mut problems: Vec<String> = Vec::new();
-    let mut counts = [0usize; 4];
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            problems.push(format!("line {lineno}: empty line"));
-            continue;
-        }
-        match serde_json::parse_value(line) {
-            Err(e) => problems.push(format!("line {lineno}: not valid JSON: {e}")),
-            Ok(v) => check_obs_line(&v, lineno, &mut counts, &mut problems),
-        }
-    }
-    if counts[0] != 1 {
-        problems.push(format!("expected exactly one meta line, found {}", counts[0]));
-    }
-    if problems.is_empty() {
-        Ok(format!(
-            "{path}: valid — {} span(s), {} metric sample(s), {} aggregate(s); \
-             all names within stage.subsystem.name\n",
-            counts[1], counts[2], counts[3]
-        ))
+    let verdict = if args.switch("folded") {
+        gpumech_obs::validate_folded(&text)
+            .map(|stacks| format!("{path}: valid folded stacks — {stacks} stack line(s)\n"))
     } else {
-        let mut report = String::new();
-        for p in &problems {
-            report.push_str(&format!("{path}: {p}\n"));
-        }
-        Err(CliError::ObsInvalid { report, problems: problems.len() })
-    }
+        gpumech_obs::validate_jsonl(&text).map(|c| {
+            format!(
+                "{path}: valid — {} span(s), {} metric sample(s), {} aggregate(s); \
+                 all names within stage.subsystem.name\n",
+                c.spans, c.metrics, c.aggregates
+            )
+        })
+    };
+    verdict.map_err(|problems| CliError::ObsInvalid {
+        report: problems.iter().map(|p| format!("{path}: {p}\n")).collect(),
+        problems: problems.len(),
+    })
 }
 
 fn cmd_lint(args: &Args) -> Result<String, CliError> {
@@ -1696,6 +1432,7 @@ fn cmd_lint(args: &Args) -> Result<String, CliError> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn run_ok(argv: &[&str]) -> String {
         run(argv.iter().map(ToString::to_string)).expect("command succeeds")
@@ -1812,6 +1549,14 @@ mod tests {
             run_err(&["predict", "sdk_vectoradd", "--selection", "random"]),
             CliError::BadChoice { flag: "selection", .. }
         ));
+        assert_eq!(
+            run_err(&["batch", "sdk_vectoradd", "--model", "mt_band"]).to_string(),
+            "--model must be one of naive|markov|mt|mt_mshr|full, got \"mt_band\""
+        );
+        assert_eq!(
+            run_err(&["batch", "sdk_vectoradd", "--selection", "Weighted"]).to_string(),
+            "--selection must be one of max|min|clustering|weighted, got \"Weighted\""
+        );
         assert!(matches!(
             run_err(&["simulate", "sdk_vectoradd", "--policy", "lifo"]),
             CliError::BadChoice { flag: "policy", .. }

@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use gpumech_serve::send_sigterm;
+use gpumech_obs::send_sigterm;
 
 fn send(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");

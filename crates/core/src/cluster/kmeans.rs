@@ -68,8 +68,8 @@ pub fn kmeans2_cancellable(
 
 /// The shared k-means body: `check` is polled before every Lloyd
 /// iteration and decides the error type (`Infallible` for the plain
-/// entry point, [`Interrupt`] for the cancellable ones).
-pub(crate) fn kmeans2_checked<E>(
+/// entry point, [`Interrupt`] for the cancellable one).
+fn kmeans2_checked<E>(
     points: &[FeatureVector],
     check: &dyn Fn() -> Result<(), E>,
 ) -> Result<KmeansResult, E> {

@@ -13,7 +13,6 @@ mod kmeans;
 
 pub use features::{feature_vectors, FeatureVector};
 pub use kmeans::{kmeans2, kmeans2_cancellable, KmeansResult};
-pub(crate) use kmeans::kmeans2_checked;
 
 use crate::interval::IntervalProfile;
 

@@ -47,6 +47,7 @@ pub mod cpistack;
 pub mod interval;
 pub mod model;
 pub mod multiwarp;
+pub mod options;
 pub mod request;
 
 pub use cluster::{feature_vectors, kmeans2, kmeans2_cancellable, select_representative, SelectionMethod};
@@ -55,6 +56,7 @@ pub use cpistack::{CpiStack, StallCategory};
 pub use interval::{build_profile, summarize_population, Interval, IntervalProfile, PopulationSummary, ProfileSummary, StallCause};
 pub use model::{Analysis, Gpumech, Model, ModelError, Prediction};
 pub use multiwarp::{multithreading_cpi, MultithreadingResult};
+pub use options::{OptionError, RequestOptions, ResolvedOptions};
 pub use request::{PredictionRequest, Weighting};
 
 // Re-export the vocabulary types callers need alongside the model.

@@ -2,7 +2,6 @@
 //! per-warp interval profiles → representative-warp selection → multi-warp
 //! model → contention model → CPI stack.
 
-use std::convert::Infallible;
 use std::fmt;
 
 use std::time::Instant;
@@ -10,11 +9,11 @@ use std::time::Instant;
 use gpumech_isa::{ConfigError, SchedulingPolicy, SimConfig};
 use gpumech_mem::{simulate_hierarchy_cancellable, MemStats};
 use gpumech_obs::{CancelToken, Interrupt, PipelineReport, StageReport};
-use gpumech_trace::{KernelTrace, TraceError, WarpTrace, Workload};
+use gpumech_trace::{KernelTrace, TraceError, WarpTrace};
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{markov_chain_cpi, naive_interval_cpi};
-use crate::cluster::{select_representative, SelectionMethod};
+use crate::cluster::{kmeans2_cancellable, select_representative, SelectionMethod};
 use crate::contention::{contention_cpi, ContentionResult};
 use crate::cpistack::CpiStack;
 use crate::interval::{build_profile, IntervalProfile};
@@ -264,55 +263,13 @@ impl Gpumech {
             }
             return Ok(self.profile_prediction(analysis, rep, request.policy, request.model));
         }
-        let check = &|| cancel.check();
         if request.weighting == Weighting::PopulationWeighted {
             return self
-                .weighted_prediction_impl(analysis, request.policy, request.model, check)
+                .weighted_prediction(analysis, request.policy, request.model, cancel)
                 .map_err(ModelError::Interrupted);
         }
-        self.selected_prediction_impl(analysis, request.policy, request.model, request.selection, check)
+        self.selected_prediction(analysis, request.policy, request.model, request.selection, cancel)
             .map_err(ModelError::Interrupted)
-    }
-
-    /// Full GPUMech prediction (MT_MSHR_BAND, clustering selection) for a
-    /// workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the configuration is invalid, tracing
-    /// fails, or the kernel is empty.
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    pub fn predict(
-        &self,
-        workload: &Workload,
-        policy: SchedulingPolicy,
-    ) -> Result<Prediction, ModelError> {
-        let trace = workload.trace()?;
-        let analysis = self.analyze(&trace)?;
-        Ok(self.selected_prediction(
-            &analysis,
-            policy,
-            Model::MtMshrBand,
-            SelectionMethod::Clustering,
-        ))
-    }
-
-    /// Prediction for an explicit Table II model and selection method.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the configuration is invalid or the
-    /// kernel is empty.
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    pub fn predict_trace(
-        &self,
-        trace: &KernelTrace,
-        policy: SchedulingPolicy,
-        model: Model,
-        selection: SelectionMethod,
-    ) -> Result<Prediction, ModelError> {
-        let analysis = self.analyze(trace)?;
-        Ok(self.selected_prediction(&analysis, policy, model, selection))
     }
 
     /// Runs the input collector (functional cache simulation) and the
@@ -450,62 +407,26 @@ impl Gpumech {
         Ok(Analysis { mem, profiles, effective_warps, stages })
     }
 
-    /// Predicts from a precomputed [`Analysis`] — cheap enough to call for
-    /// every (model, policy) pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analysis contains no warps (cannot be produced by
-    /// [`Gpumech::analyze`]).
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    #[must_use]
-    pub fn predict_from_analysis(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-        selection: SelectionMethod,
-    ) -> Prediction {
-        self.selected_prediction(analysis, policy, model, selection)
-    }
-
-    /// Infallible [`Gpumech::selected_prediction_impl`] for the deprecated
-    /// `predict_from_analysis` shim (no cancellation).
+    /// [`Gpumech::run`]'s analysis path: selects the representative warp
+    /// and predicts from it; `cancel` is polled by the k-means loop.
     fn selected_prediction(
         &self,
         analysis: &Analysis,
         policy: SchedulingPolicy,
         model: Model,
         selection: SelectionMethod,
-    ) -> Prediction {
-        match self.selected_prediction_impl(analysis, policy, model, selection, &|| {
-            Ok::<(), Infallible>(())
-        }) {
-            Ok(p) => p,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Shared body of [`Gpumech::run`]'s analysis path and the deprecated
-    /// `predict_from_analysis` shim; `check` is polled by the k-means loop.
-    fn selected_prediction_impl<E>(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-        selection: SelectionMethod,
-        check: &dyn Fn() -> Result<(), E>,
-    ) -> Result<Prediction, E> {
+        cancel: &CancelToken,
+    ) -> Result<Prediction, Interrupt> {
         if selection == SelectionMethod::Clustering {
             let t0 = Instant::now();
             let feats = crate::cluster::feature_vectors(&analysis.profiles);
-            let km = crate::cluster::kmeans2_checked(&feats, check)?;
+            let km = kmeans2_cancellable(&feats, cancel)?;
             let select = select_stage(&km, feats.len(), elapsed_ns(t0));
             if km.degenerate {
                 // Graceful degradation: the cluster structure is unreliable
                 // (non-finite features or Lloyd non-convergence), so blend
                 // by population instead of trusting one representative.
-                let mut p = self.weighted_prediction_impl(analysis, policy, model, check)?;
+                let mut p = self.weighted_prediction(analysis, policy, model, cancel)?;
                 p.warnings.push(
                     "k-means clustering degenerated (non-finite features or no convergence); \
                      downgraded to population-weighted cluster selection"
@@ -522,26 +443,9 @@ impl Gpumech {
     }
 
     /// Runs the multi-warp + contention models for one explicit warp's
-    /// profile (the building block of both the standard single-
-    /// representative prediction and the weighted-clusters extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rep` is out of range for the analysis.
-    #[deprecated(since = "0.2.0", note = "build a `PredictionRequest` and call `Gpumech::run`")]
-    #[must_use]
-    pub fn predict_profile(
-        &self,
-        analysis: &Analysis,
-        rep: usize,
-        policy: SchedulingPolicy,
-        model: Model,
-    ) -> Prediction {
-        self.profile_prediction(analysis, rep, policy, model)
-    }
-
-    /// Shared body of [`Gpumech::run`]'s explicit-profile path and the
-    /// deprecated `predict_profile` shim.
+    /// profile: [`Gpumech::run`]'s explicit-profile path and the building
+    /// block of both the single-representative and the weighted-clusters
+    /// predictions.
     fn profile_prediction(
         &self,
         analysis: &Analysis,
@@ -625,7 +529,9 @@ impl Gpumech {
     }
 
     /// **Extension beyond the paper**: population-weighted two-cluster
-    /// prediction.
+    /// prediction — [`Gpumech::run`]'s population-weighted path and the
+    /// degenerate-clustering fallback; `cancel` is polled by the k-means
+    /// loop.
     ///
     /// The paper represents a kernel by the single warp nearest the
     /// *larger* cluster's centroid, which systematically underestimates
@@ -637,48 +543,16 @@ impl Gpumech {
     ///
     /// Linearity keeps Equation 3 intact: the blended stack still sums to
     /// the blended `CPI_mt + CPI_rc`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a `PredictionRequest` with `.population_weighted()` and call `Gpumech::run`"
-    )]
-    #[must_use]
-    pub fn predict_weighted_clusters(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-    ) -> Prediction {
-        self.weighted_prediction(analysis, policy, model)
-    }
-
-    /// Infallible [`Gpumech::weighted_prediction_impl`] for the deprecated
-    /// `predict_weighted_clusters` shim (no cancellation).
     fn weighted_prediction(
         &self,
         analysis: &Analysis,
         policy: SchedulingPolicy,
         model: Model,
-    ) -> Prediction {
-        match self.weighted_prediction_impl(analysis, policy, model, &|| Ok::<(), Infallible>(())) {
-            Ok(p) => p,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Shared body of [`Gpumech::run`]'s population-weighted path, the
-    /// degenerate-clustering fallback, and the deprecated
-    /// `predict_weighted_clusters` shim; `check` is polled by the k-means
-    /// loop.
-    fn weighted_prediction_impl<E>(
-        &self,
-        analysis: &Analysis,
-        policy: SchedulingPolicy,
-        model: Model,
-        check: &dyn Fn() -> Result<(), E>,
-    ) -> Result<Prediction, E> {
+        cancel: &CancelToken,
+    ) -> Result<Prediction, Interrupt> {
         let t0 = Instant::now();
         let feats = crate::cluster::feature_vectors(&analysis.profiles);
-        let km = crate::cluster::kmeans2_checked(&feats, check)?;
+        let km = kmeans2_cancellable(&feats, cancel)?;
         let select = select_stage(&km, feats.len(), elapsed_ns(t0));
         let n = feats.len();
 

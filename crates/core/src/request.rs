@@ -1,13 +1,10 @@
 //! The unified prediction request: one builder that expresses every way
 //! of driving the GPUMech pipeline.
 //!
-//! Historically [`Gpumech`](crate::model::Gpumech) grew five overlapping
-//! entry points (`predict`, `predict_trace`, `predict_from_analysis`,
-//! `predict_profile`, `predict_weighted_clusters`) that differed only in
-//! where the input came from and how the representative warp was chosen.
-//! [`PredictionRequest`] collapses them: pick an input *source* with a
-//! constructor, then adjust *options* with builder methods, and hand the
-//! request to [`Gpumech::run`](crate::model::Gpumech::run).
+//! [`Gpumech::run`](crate::model::Gpumech::run) is the only way into the
+//! pipeline: pick an input *source* with a [`PredictionRequest`]
+//! constructor, adjust *options* with builder methods, and hand the
+//! request to `run`.
 //!
 //! ```
 //! use gpumech_core::{Gpumech, Model, PredictionRequest, SchedulingPolicy};

@@ -99,8 +99,9 @@ pub(crate) fn maybe_inject(inject: Option<FaultInjection>, i: usize, kind: Fault
     }
 }
 
-/// Renders a caught panic payload for the error message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a caught `catch_unwind` panic payload as text.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -36,6 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use gpumech_obs::CancelToken;
+use gpumech_trace::splitmix64;
 use serde::{Deserialize, Serialize};
 
 use crate::pool::FaultInjection;
@@ -63,14 +64,6 @@ impl Default for RetryPolicy {
         // spike, short enough not to dominate a test suite.
         Self { base_delay_ns: 1_000_000, max_delay_ns: 100_000_000, seed: 0 }
     }
-}
-
-/// The splitmix64 finalizer — the same avalanche the cache fingerprints
-/// use, here as a stateless jitter hash.
-fn splitmix64(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
 }
 
 impl RetryPolicy {

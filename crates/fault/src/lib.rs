@@ -56,6 +56,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use gpumech_core::{Gpumech, PredictionRequest};
+use gpumech_exec::pool::panic_message;
 use gpumech_exec::{BatchEngine, BatchJob, BatchOptions, FaultInjection, FaultKind};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::simulate;
@@ -88,17 +89,6 @@ impl Outcome {
             Outcome::TypedError(_) => true,
             Outcome::Panic(_) => false,
         }
-    }
-}
-
-/// Extracts a printable message from a `catch_unwind` payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -106,17 +106,11 @@ impl Cache {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use gpumech_trace::splitmix64;
 
-    /// Deterministic pseudo-random stream (splitmix64) — the build
-    /// environment has no property-testing crate, so the randomized
-    /// properties below run over a fixed set of generated cases instead.
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    // The randomized properties below draw addresses from an iterated
+    // splitmix64 stream — the build environment has no property-testing
+    // crate, so they run over a fixed set of generated cases instead.
 
     fn small() -> Cache {
         // 2 sets x 2 ways x 128 B lines.
@@ -196,9 +190,9 @@ mod tests {
             let mut s = case;
             let mut c = small();
             for _ in 0..(1 + case as usize * 6 % 200) {
-                let a = splitmix64(&mut s);
-                c.access(a, true);
-                assert!(c.probe(a));
+                s = splitmix64(s);
+                c.access(s, true);
+                assert!(c.probe(s));
             }
         }
     }
@@ -210,7 +204,8 @@ mod tests {
             let mut c = small();
             let n = 1 + case * 9 % 300;
             for _ in 0..n {
-                c.access(splitmix64(&mut s) % 4096, true);
+                s = splitmix64(s);
+                c.access(s % 4096, true);
             }
             let (h, m) = c.stats();
             assert_eq!(h + m, n);

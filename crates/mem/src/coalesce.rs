@@ -35,26 +35,19 @@ pub fn num_requests(addrs: &[u64], line_bytes: u64) -> usize {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use gpumech_trace::splitmix64;
 
-    /// Deterministic pseudo-random stream (splitmix64) — the build
+    /// Deterministic pseudo-random stream (iterated splitmix64) — the build
     /// environment has no property-testing crate, so the randomized
     /// properties below run over a fixed set of generated cases instead.
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn random_addrs(seed: u64, len: usize, modulus: Option<u64>) -> Vec<u64> {
         let mut s = seed;
         (0..len)
             .map(|_| {
-                let v = splitmix64(&mut s);
+                s = splitmix64(s);
                 match modulus {
-                    Some(m) => v % m,
-                    None => v,
+                    Some(m) => s % m,
+                    None => s,
                 }
             })
             .collect()

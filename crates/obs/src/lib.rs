@@ -26,18 +26,16 @@
 //!
 //! Every span and metric name is `stage.subsystem.name`: exactly three
 //! dot-separated segments of `[a-z0-9_]+`, each starting with a letter,
-//! where `stage` is the short crate name (`isa`, `analyze`, `trace`,
-//! `mem`, `timing`, `core`, `exec`, `serve`, `cli`, `bench`, `fault`).
-//! The scheme
-//! is
-//! machine-checked: [`valid_metric_name`] backs `gpumech obs-validate`,
-//! which CI runs over every export.
+//! where `stage` is the short crate name listed in [`STAGE_FAMILIES`].
+//! The scheme is machine-checked: [`validate_jsonl`] and
+//! [`validate_folded`] back `gpumech obs-validate`, which CI runs over
+//! every export.
 //!
 //! # Exporters
 //!
 //! [`render_tree`] (human-readable span tree + metric tables),
-//! [`to_jsonl`] (one JSON object per line — the schema `gpumech
-//! obs-validate` enforces), and [`to_chrome_trace`] (Chrome
+//! [`to_jsonl`] (one JSON object per line — the schema
+//! [`validate_jsonl`] enforces), and [`to_chrome_trace`] (Chrome
 //! `trace_event` JSON loadable in `chrome://tracing` / Perfetto).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,19 +47,23 @@ mod export;
 mod naming;
 mod recorder;
 mod report;
+mod signal;
 mod span;
+mod validate;
 
 pub use cancel::{CancelToken, Interrupt};
 pub use clock::{Clock, FakeClock, RealClock};
 pub use export::{render_tree, to_chrome_trace, to_jsonl};
-pub use naming::valid_metric_name;
+pub use naming::{valid_metric_name, PERF_SUBSYSTEMS, STAGE_FAMILIES};
 pub use recorder::{
     histogram_bucket_bound, CounterAgg, GaugeAgg, HistogramAgg, MetricKind, MetricSample, Recorder,
     Snapshot, SpanRecord, HISTOGRAM_NUM_BUCKETS, HISTOGRAM_OCTAVES, HISTOGRAM_SUB_BUCKETS,
     MAX_SAMPLES,
 };
 pub use report::{PipelineReport, StageReport};
+pub use signal::{install_signal_latch, send_sigkill, send_sigterm, signal_latched};
 pub use span::SpanGuard;
+pub use validate::{validate_folded, validate_jsonl, JsonlCounts};
 
 /// Fast-path gate: `true` while a recorder is installed. Instrumentation
 /// macros check this before doing any other work.

@@ -1,15 +1,25 @@
 //! The `stage.subsystem.name` metric/span naming scheme.
 
+/// Stage families a conforming export may emit under — the short crate
+/// names of every instrumented layer (`test` covers unit-test fixtures).
+pub const STAGE_FAMILIES: [&str; 14] = [
+    "isa", "analyze", "trace", "mem", "timing", "core", "exec", "serve", "cli", "bench", "fault",
+    "perf", "shard", "test",
+];
+
+/// Subsystems the `perf.*` family is allowed to emit under: the suite's
+/// stage spans, the allocation counters, and the benchmark metrics.
+pub const PERF_SUBSYSTEMS: [&str; 3] = ["suite", "alloc", "bench"];
+
 /// Validates a span or metric name against the documented scheme:
 /// exactly three dot-separated segments, each `[a-z][a-z0-9_]*`.
 ///
-/// The first segment is the emitting stage (the short crate name:
-/// `isa`, `analyze`, `trace`, `mem`, `timing`, `core`, `exec`, `serve`,
-/// `cli`, `bench`, `fault`, `perf`, `shard`, or `test` in unit tests);
-/// the second
-/// names the subsystem;
-/// the third the measurement. `gpumech obs-validate` fails any export
-/// containing a name this function rejects.
+/// The first segment is the emitting stage, one of [`STAGE_FAMILIES`];
+/// the second names the subsystem; the third the measurement. The
+/// export validators ([`validate_jsonl`](crate::validate_jsonl),
+/// [`validate_folded`](crate::validate_folded)) fail any export
+/// containing a name this function rejects or whose stage is not in
+/// that allowlist.
 #[must_use]
 pub fn valid_metric_name(name: &str) -> bool {
     let mut segments = 0usize;

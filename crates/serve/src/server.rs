@@ -30,95 +30,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use gpumech_core::{Model, ModelError, SelectionMethod, Weighting};
+use gpumech_core::{ModelError, OptionError, RequestOptions, ResolvedOptions};
 use gpumech_exec::{
     BatchEngine, BatchJob, BatchOptions, CircuitBreaker, ExecError, ProfileCache,
 };
-use gpumech_isa::{SchedulingPolicy, SimConfig};
+use gpumech_isa::SimConfig;
 use gpumech_obs::{CancelToken, Interrupt};
 use gpumech_trace::{workloads, KernelTrace, TraceError};
 
 use crate::api::{parse_predict_body, predict_response_body, ApiError, PredictBody};
 use crate::http::{parse_request, Limits, ParseError, Request, Response};
-
-/// SIGTERM/SIGINT plumbing without the `libc` crate: an async-signal-safe
-/// handler that stores into a process-global flag the accept loop polls.
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static FIRED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // An atomic store is async-signal-safe; everything else happens
-        // on the accept loop when it next polls `fired`.
-        FIRED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub(super) fn install() {
-        // SAFETY: `on_signal` only performs an atomic store, and both
-        // SIGINT (2) and SIGTERM (15) are catchable signals.
-        unsafe {
-            signal(2, on_signal);
-            signal(15, on_signal);
-        }
-    }
-
-    pub(super) fn fired() -> bool {
-        FIRED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub(super) fn install() {}
-
-    pub(super) fn fired() -> bool {
-        false
-    }
-}
-
-/// Sends `sig` to `pid`. Returns `false` on non-Unix platforms or if the
-/// signal could not be delivered.
-fn send_signal(pid: u32, sig: i32) -> bool {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        let Ok(pid) = i32::try_from(pid) else {
-            return false;
-        };
-        // SAFETY: plain syscall wrapper; no memory is touched.
-        unsafe { kill(pid, sig) == 0 }
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (pid, sig);
-        false
-    }
-}
-
-/// Sends SIGTERM to `pid`. Test/bench helper (the smoke test and the
-/// load harness exercise graceful drain against a real child process).
-/// Returns `false` on non-Unix platforms or if the signal could not be
-/// delivered.
-#[must_use]
-pub fn send_sigterm(pid: u32) -> bool {
-    send_signal(pid, 15)
-}
-
-/// Sends SIGKILL to `pid`. Chaos helper: the load harness murders a
-/// server mid-load to prove the crash-safe cache survives and a restart
-/// comes back ready. Returns `false` on non-Unix platforms or failure.
-#[must_use]
-pub fn send_sigkill(pid: u32) -> bool {
-    send_signal(pid, 9)
-}
 
 /// Server configuration. `Default` is tuned for tests and the local CLI;
 /// the `gpumech serve` subcommand exposes every knob as a flag.
@@ -355,7 +276,7 @@ impl Server {
         listener.set_nonblocking(true).map_err(ServeError::Listener)?;
         let local_addr = listener.local_addr().map_err(ServeError::Listener)?;
         if cfg.handle_signals {
-            signals::install();
+            gpumech_obs::install_signal_latch();
         }
         let cache = match &cfg.cache_dir {
             Some(dir) => ProfileCache::with_disk(dir),
@@ -462,7 +383,7 @@ fn accept_loop(state: &State, listener: &TcpListener, run_token: &CancelToken) -
     let mut drain_started: Option<Instant> = None;
     loop {
         if drain_started.is_none()
-            && (run_token.is_cancelled() || (state.cfg.handle_signals && signals::fired()))
+            && (run_token.is_cancelled() || (state.cfg.handle_signals && gpumech_obs::signal_latched()))
         {
             drain_started = Some(Instant::now());
             state.draining.store(true, Ordering::SeqCst);
@@ -767,67 +688,25 @@ fn readyz_response(state: &State) -> Response {
     }
 }
 
-/// Builds the per-request machine configuration from body overrides.
-fn request_config(body: &PredictBody) -> Result<SimConfig, ApiError> {
-    let mut cfg = SimConfig::table1();
-    if let Some(w) = body.warps {
-        cfg = cfg.with_warps_per_core(w);
-    }
-    if let Some(m) = body.mshrs {
-        cfg = cfg.with_mshrs(m);
-    }
-    if let Some(b) = body.bw {
-        cfg = cfg.with_dram_bandwidth(b);
-    }
-    if let Some(s) = body.sfu {
-        cfg = cfg.with_sfu_per_core(s);
-    }
-    cfg.validate()
-        .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
-    Ok(cfg)
-}
-
-fn request_policy(body: &PredictBody) -> Result<SchedulingPolicy, ApiError> {
-    match body.policy.as_deref() {
-        None | Some("rr") => Ok(SchedulingPolicy::RoundRobin),
-        Some("gto") => Ok(SchedulingPolicy::GreedyThenOldest),
-        Some(other) => Err(ApiError::new(
+/// Resolves the body's machine overrides and option spellings.
+fn request_options(body: &PredictBody) -> Result<ResolvedOptions, ApiError> {
+    let opts = RequestOptions {
+        warps: body.warps,
+        mshrs: body.mshrs,
+        bw: body.bw,
+        sfu: body.sfu,
+        policy: body.policy.as_deref(),
+        model: body.model.as_deref(),
+        selection: body.selection.as_deref(),
+    };
+    opts.resolve().map_err(|e| match e {
+        OptionError::BadChoice { field, value, expected } => ApiError::new(
             422,
             "invalid_option",
-            format!("policy must be rr|gto, got {other:?}"),
-        )),
-    }
-}
-
-fn request_model(body: &PredictBody) -> Result<Model, ApiError> {
-    match body.model.as_deref() {
-        None | Some("full" | "mt_mshr_band") => Ok(Model::MtMshrBand),
-        Some("naive") => Ok(Model::NaiveInterval),
-        Some("markov") => Ok(Model::MarkovChain),
-        Some("mt") => Ok(Model::Mt),
-        Some("mt_mshr") => Ok(Model::MtMshr),
-        Some(other) => Err(ApiError::new(
-            422,
-            "invalid_option",
-            format!("model must be naive|markov|mt|mt_mshr|full, got {other:?}"),
-        )),
-    }
-}
-
-fn request_selection(body: &PredictBody) -> Result<(SelectionMethod, Weighting), ApiError> {
-    match body.selection.as_deref() {
-        None | Some("clustering") => {
-            Ok((SelectionMethod::Clustering, Weighting::SingleRepresentative))
-        }
-        Some("max") => Ok((SelectionMethod::Max, Weighting::SingleRepresentative)),
-        Some("min") => Ok((SelectionMethod::Min, Weighting::SingleRepresentative)),
-        Some("weighted") => Ok((SelectionMethod::Clustering, Weighting::PopulationWeighted)),
-        Some(other) => Err(ApiError::new(
-            422,
-            "invalid_option",
-            format!("selection must be max|min|clustering|weighted, got {other:?}"),
-        )),
-    }
+            format!("{field} must be {expected}, got {value:?}"),
+        ),
+        OptionError::Config(e) => ApiError::new(422, "invalid_config", e.to_string()),
+    })
 }
 
 /// Fetches (or computes and memoizes) the trace for `(kernel, blocks)`.
@@ -924,10 +803,7 @@ fn handle_predict(state: &State, req: &Request) -> Result<Response, ApiError> {
             .with_retry_after_ms(250));
     }
     let body = parse_predict_body(&req.body)?;
-    let cfg = request_config(&body)?;
-    let policy = request_policy(&body)?;
-    let model = request_model(&body)?;
-    let (selection, weighting) = request_selection(&body)?;
+    let opts = request_options(&body)?;
 
     if let Some(failures) = state.breaker.as_ref().and_then(|b| b.is_open(&body.kernel)) {
         return Err(ApiError::new(
@@ -968,11 +844,11 @@ fn handle_predict(state: &State, req: &Request) -> Result<Response, ApiError> {
         }
     }
 
-    let mut job = BatchJob::new(body.kernel.clone(), trace, cfg);
-    job.policy = policy;
-    job.model = model;
-    job.selection = selection;
-    job.weighting = weighting;
+    let mut job = BatchJob::new(body.kernel.clone(), trace, opts.config);
+    job.policy = opts.policy;
+    job.model = opts.model;
+    job.selection = opts.selection;
+    job.weighting = opts.weighting;
     let opts = BatchOptions { cancel: Some(token), ..BatchOptions::default() };
     let t_exec = Instant::now();
     let mut results = state.engine.run_with(&[job], &opts);

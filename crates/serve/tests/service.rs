@@ -150,6 +150,8 @@ fn typed_client_errors() {
         (r#"{"kernel":"no_such_kernel"}"#, 404, "kernel_not_found"),
         (r#"{"kernel":"sdk_vectoradd","mshrs":0}"#, 422, "invalid_config"),
         (r#"{"kernel":"sdk_vectoradd","policy":"lifo"}"#, 422, "invalid_option"),
+        (r#"{"kernel":"sdk_vectoradd","model":"mt_band"}"#, 422, "invalid_option"),
+        (r#"{"kernel":"sdk_vectoradd","selection":"Weighted"}"#, 422, "invalid_option"),
         (r#"{"kernel":"sdk_vectoradd","bogus":1}"#, 400, "unknown_field"),
     ] {
         let resp = predict(srv.addr, body);
@@ -157,7 +159,7 @@ fn typed_client_errors() {
         assert!(resp.body.contains(&format!("\"error\":\"{code}\"")), "{body} -> {}", resp.body);
     }
     let summary = srv.stop();
-    assert_eq!(summary.rejected, 5, "{summary:?}");
+    assert_eq!(summary.rejected, 7, "{summary:?}");
 }
 
 #[test]

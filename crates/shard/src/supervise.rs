@@ -31,68 +31,6 @@ use gpumech_obs::CancelToken;
 
 use crate::ShardError;
 
-/// SIGTERM/SIGINT plumbing without the `libc` crate: an async-signal-safe
-/// handler that stores into a process-global flag the supervisor polls.
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static FIRED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // An atomic store is async-signal-safe; everything else happens
-        // on the supervisor loop when it next polls `fired`.
-        FIRED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub(super) fn install() {
-        // SAFETY: `on_signal` only performs an atomic store, and both
-        // SIGINT (2) and SIGTERM (15) are catchable signals.
-        unsafe {
-            signal(2, on_signal);
-            signal(15, on_signal);
-        }
-    }
-
-    pub(super) fn fired() -> bool {
-        FIRED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub(super) fn install() {}
-
-    pub(super) fn fired() -> bool {
-        false
-    }
-}
-
-/// Sends `sig` to `pid`. Returns `false` on non-Unix platforms or if the
-/// signal could not be delivered.
-fn send_signal(pid: u32, sig: i32) -> bool {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        let Ok(pid) = i32::try_from(pid) else {
-            return false;
-        };
-        // SAFETY: plain syscall wrapper; no memory is touched.
-        unsafe { kill(pid, sig) == 0 }
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (pid, sig);
-        false
-    }
-}
-
 /// A chaos injection: SIGKILL shard `shard` once its journal reaches
 /// `after_journal_lines` lines. Fires at most once per supervise run —
 /// the restarted child resumes and must complete.
@@ -276,7 +214,7 @@ fn journal_lines(path: &Path) -> u64 {
 pub fn supervise(cfg: &SupervisorConfig) -> Result<SupervisorSummary, ShardError> {
     let _span = gpumech_obs::span!("shard.supervisor.run", shards = cfg.shards);
     if cfg.handle_signals {
-        signals::install();
+        gpumech_obs::install_signal_latch();
     }
     std::fs::create_dir_all(&cfg.dir).map_err(|e| ShardError::Io {
         path: cfg.dir.display().to_string(),
@@ -352,7 +290,7 @@ fn run_loop(
                 });
             }
         }
-        if signals::fired() || cfg.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        if gpumech_obs::signal_latched() || cfg.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             drain(cfg, shards);
             return Ok(true);
         }
@@ -502,7 +440,7 @@ fn kill_all(shards: &mut [ShardState]) {
 fn drain(cfg: &SupervisorConfig, shards: &mut [ShardState]) {
     for s in shards.iter_mut() {
         if let Some(child) = &s.child {
-            let _ = send_signal(child.id(), 15);
+            let _ = gpumech_obs::send_sigterm(child.id());
         }
     }
     let grace_end = Instant::now() + Duration::from_millis(cfg.drain_ms);
