@@ -15,8 +15,9 @@
 #   6. batch determinism: the parallel engine's output is byte-identical
 #      to the sequential pipeline over all 40 workloads (release, so the
 #      suite also exercises optimized codegen)
-#   7. parallel benchmark: sequential-vs-batch walls on both axes,
-#      recorded as results/BENCH_parallel.json
+#   7. benchmarks: sequential-vs-batch walls on both axes, recorded as
+#      results/BENCH_parallel.json, and a smoke run of the Section VI-D
+#      model-vs-oracle harness (`speedup`, the only one)
 #   8. `gpumech lint` over the 40-workload library (nonzero exit on any
 #      error-severity finding)
 #   9. observability round trip: `gpumech profile` writes a JSONL trace
@@ -77,9 +78,10 @@ cargo test -p gpumech-fault -q
 echo "== batch determinism =="
 cargo test -p gpumech-exec --release --test batch_determinism -q
 
-echo "== parallel benchmark =="
+echo "== benchmarks =="
 cargo run --release -p gpumech-bench --bin bench_parallel -- \
   --blocks 48 --json results/BENCH_parallel.json
+cargo run --release -p gpumech-bench --bin speedup -- --blocks 8 sdk_vectoradd > /dev/null
 
 echo "== gpumech lint =="
 ./target/release/gpumech lint --min-severity warning

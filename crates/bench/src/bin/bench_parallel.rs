@@ -17,19 +17,21 @@
 //! batch-vs-sequential number: the batch feature is the pool *plus* the
 //! cache, and the cache speedup holds at any core count.
 //!
-//! Every timed section reports the minimum over `--reps` runs (default 3);
-//! shared hosts jitter far too much for single-shot walls.
+//! Every timed section reports the minimum over `--reps` runs (default 3,
+//! at least 1) of [`gpumech_perf::wall_time`]; shared hosts jitter far too
+//! much for single-shot walls.
 //!
 //! Usage: `bench_parallel [--blocks N] [--workers 1,2,4,8] [--reps N]
 //!         [--json PATH]`
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gpumech_bench::arg_value;
 use gpumech_core::{Gpumech, Prediction, PredictionRequest};
 use gpumech_exec::{canonical_prediction_json, BatchEngine, BatchJob};
 use gpumech_isa::SimConfig;
+use gpumech_perf::wall_time;
 use gpumech_trace::{workloads, KernelTrace};
 use serde::Serialize;
 
@@ -72,7 +74,7 @@ struct Report {
     blocks: usize,
     kernels: usize,
     host_cpus: usize,
-    reps: usize,
+    reps: u32,
     sequential_ms: f64,
     workers: Vec<WorkerPoint>,
     cache_sweep: CacheSweep,
@@ -84,18 +86,6 @@ fn ms(t: Duration) -> f64 {
 
 fn canon(p: &Prediction) -> String {
     canonical_prediction_json(p).unwrap_or_else(|e| gpumech_bench::fail(e))
-}
-
-/// Minimum wall time of `f` over `reps` runs.
-fn min_wall<F: FnMut()>(reps: usize, mut f: F) -> Duration {
-    (1..=reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .min()
-        .unwrap_or(Duration::ZERO)
 }
 
 fn sequential_run(jobs: &[BatchJob]) -> Vec<Prediction> {
@@ -134,7 +124,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let blocks: usize = arg_value(&args, "--blocks")
         .map_or(48, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--blocks expects a number")));
-    let reps: usize = arg_value(&args, "--reps")
+    let reps: u32 = arg_value(&args, "--reps")
         .map_or(3, |s| s.parse().unwrap_or_else(|_| gpumech_bench::fail("--reps expects a number")));
     let worker_counts: Vec<usize> = arg_value(&args, "--workers").map_or_else(
         || vec![1, 2, 4, 8],
@@ -174,26 +164,27 @@ fn main() {
         }
     }
 
-    println!(
-        "# bench_parallel: {} kernels, {blocks} blocks, host cpus {}, min of {reps} rep(s)",
-        jobs.len(),
-        cpus()
-    );
-
     // Warm-up, untimed: the first run that retains all analyses at once
     // pays a one-off heap-growth cost (page faults on first touch) that
     // belongs to neither side of the comparison.
     drop(BatchEngine::new(4).run(&jobs));
 
     // Sequential baseline over the 40-workload batch.
-    let seq_t = min_wall(reps, || drop(sequential_run(&jobs)));
+    let seq = wall_time(0, reps, || sequential_run(&jobs));
+    let seq_t = seq.min;
     let seq_canon: Vec<String> = sequential_run(&jobs).iter().map(canon).collect();
+    println!(
+        "# bench_parallel: {} kernels, {blocks} blocks, host cpus {}, min of {} rep(s)",
+        jobs.len(),
+        cpus(),
+        seq.iters
+    );
     println!("sequential ({} kernels): {seq_t:.2?}", jobs.len());
 
     // Thread axis.
     let mut points = Vec::new();
     for &workers in &worker_counts {
-        let wall = min_wall(reps, || drop(batch_run(workers, &jobs)));
+        let wall = wall_time(0, reps, || batch_run(workers, &jobs)).min;
         let (out, _) = batch_run(workers, &jobs);
         let identical = assert_identical(&out, &seq_canon, "thread axis");
         let effective = BatchEngine::new(workers).effective_workers();
@@ -212,9 +203,9 @@ fn main() {
     }
 
     // Cache axis: the bandwidth sweep, sequential re-analysis vs batch.
-    let naive_t = min_wall(reps, || drop(sequential_run(&sweep_jobs)));
+    let naive_t = wall_time(0, reps, || sequential_run(&sweep_jobs)).min;
     let naive_canon: Vec<String> = sequential_run(&sweep_jobs).iter().map(canon).collect();
-    let batch_t = min_wall(reps, || drop(batch_run(4, &sweep_jobs)));
+    let batch_t = wall_time(0, reps, || batch_run(4, &sweep_jobs)).min;
     let (out, cache_entries) = batch_run(4, &sweep_jobs);
     let identical = assert_identical(&out, &naive_canon, "cache axis");
     let speedup = naive_t.as_secs_f64() / batch_t.as_secs_f64();
@@ -234,7 +225,7 @@ fn main() {
             blocks,
             kernels: traces.len(),
             host_cpus: cpus(),
-            reps,
+            reps: seq.iters,
             sequential_ms: ms(seq_t),
             workers: points,
             cache_sweep: CacheSweep {

@@ -231,26 +231,6 @@ pub fn evaluate_trace(name: &str, trace: &KernelTrace, exp: &Experiment) -> Kern
     }
 }
 
-/// Minimal wall-clock micro-benchmark used by the `benches/` binaries
-/// (`harness = false`): one warm-up call, then `iters` timed iterations.
-/// Prints and returns the mean per-iteration time.
-///
-/// This replaces an external benchmarking framework: the build environment
-/// is offline, and plain `Instant` timing is plenty for the coarse
-/// "tracer not regressed" / "model vs oracle" comparisons recorded in
-/// EXPERIMENTS.md.
-pub fn bench_wall<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) -> Duration {
-    assert!(iters > 0, "bench_wall needs at least one iteration");
-    std::hint::black_box(f()); // warm-up
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per = t0.elapsed() / iters;
-    println!("{label:<44} {per:>12.3?}  (mean of {iters})");
-    per
-}
-
 /// Mean of `values`.
 #[must_use]
 pub fn mean(values: &[f64]) -> f64 {

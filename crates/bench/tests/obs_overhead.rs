@@ -17,10 +17,10 @@
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use gpumech_bench::bench_wall;
 use gpumech_core::{Gpumech, PredictionRequest};
 use gpumech_isa::SimConfig;
 use gpumech_obs::Recorder;
+use gpumech_perf::wall_time;
 use gpumech_trace::{workloads, KernelTrace};
 
 /// Serializes the tests: both manipulate the process-global recorder.
@@ -28,6 +28,14 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Times `f` (one warmup, then `iters` timed runs), prints the result
+/// line for `--nocapture`, and returns the mean the bounds apply to.
+fn mean_wall<T>(label: &str, iters: u32, f: impl FnMut() -> T) -> Duration {
+    let t = wall_time(1, iters, f);
+    println!("{label:<44} {:>12.3?} mean  {:>12.3?} min  (of {})", t.mean, t.min, t.iters);
+    t.mean
 }
 
 fn pipeline_once(trace: &KernelTrace) -> f64 {
@@ -46,12 +54,12 @@ fn enabled_recorder_overhead_stays_bounded() {
         let trace = w.trace().unwrap();
 
         assert!(gpumech_obs::installed().is_none(), "leftover recorder from another test");
-        let off = bench_wall(&format!("{name} pipeline obs=off"), 5, || pipeline_once(&trace));
+        let off = mean_wall(&format!("{name} pipeline obs=off"), 5, || pipeline_once(&trace));
 
         let rec = Arc::new(Recorder::new());
         let on = {
             let _installed = gpumech_obs::install(Arc::clone(&rec));
-            bench_wall(&format!("{name} pipeline obs=on"), 5, || pipeline_once(&trace))
+            mean_wall(&format!("{name} pipeline obs=on"), 5, || pipeline_once(&trace))
         };
 
         let snap = rec.snapshot();
@@ -72,7 +80,7 @@ fn disabled_probe_costs_one_branch() {
     assert!(gpumech_obs::installed().is_none(), "leftover recorder from another test");
     // 100 probes per timed iteration; the value expression must not even
     // be evaluated on the disabled path.
-    let per = bench_wall("disabled probes x100", 100_000, || {
+    let per = mean_wall("disabled probes x100", 100_000, || {
         for i in 0..100u64 {
             gpumech_obs::counter!("bench.micro.probe", i * 2);
         }
@@ -89,7 +97,7 @@ fn disabled_alloc_counting_costs_one_relaxed_load() {
     // the probe test: 100 boxed allocations in well under 100 us means
     // the counting path stayed out of the fast path.
     assert!(!gpumech_perf::counting_enabled(), "leftover AllocScope from another test");
-    let per = bench_wall("disabled alloc counting x100", 10_000, || {
+    let per = mean_wall("disabled alloc counting x100", 10_000, || {
         for i in 0..100u64 {
             std::hint::black_box(Box::new(i));
         }

@@ -1217,7 +1217,8 @@ fn cmd_perf_record(args: &Args, opts: &SuiteOptions) -> Result<String, CliError>
         version: BASELINE_VERSION,
         git_commit: gpumech_perf::git_commit(),
         config_fingerprint: analysis_config_fingerprint(&suite_config()),
-        iters: opts.iters,
+        // The count the timer ran, which is at least 1 whatever was asked.
+        iters: results.first().map_or(opts.iters, |r| r.iters),
         warmup: opts.warmup,
         results,
     };
@@ -1883,9 +1884,11 @@ mod tests {
     fn perf_record_writes_a_parseable_baseline_covering_every_stage() {
         let path = tmp_path("perf-baseline.json");
         let path_s = path.to_string_lossy().to_string();
+        // `--iters 0` still times one iteration; the baseline records that.
         let out =
-            run_ok(&["perf", "record", "--out", &path_s, "--iters", "1", "--warmup", "0"]);
+            run_ok(&["perf", "record", "--out", &path_s, "--iters", "0", "--warmup", "0"]);
         assert!(out.contains("baseline written to"), "{out}");
+        assert!(out.contains("min-of-1 "), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let base = gpumech_perf::Baseline::from_json(&text).expect("baseline parses back");
         assert_eq!(base.iters, 1);

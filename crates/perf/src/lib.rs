@@ -14,7 +14,9 @@
 //!   disabled.
 //! * **The perf suite** ([`run_suite`]) — named stage-level and
 //!   end-to-end micro-benchmarks (min-of-N with warmup, allocation
-//!   counters included) emitting under the `perf.*` naming family.
+//!   counters included) emitting under the `perf.*` naming family. Its
+//!   timer, [`wall_time`], is the one wall-clock loop the bench harnesses
+//!   use too.
 //! * **Baselines** ([`Baseline`], [`compare`]) — `gpumech perf record`
 //!   persists suite results to `results/PERF_BASELINE.json`;
 //!   `gpumech perf compare` fails CI on noise-aware regressions.
@@ -27,7 +29,10 @@ pub mod suite;
 pub use alloc::{counting_enabled, AllocDelta, AllocScope, CountingAlloc};
 pub use attr::{attribute, to_folded, SpanAttribution};
 pub use baseline::{compare, git_commit, Baseline, CompareLine, Comparison, Tolerance};
-pub use suite::{run_suite, suite_config, BenchResult, SuiteOptions, STAGE_NAMES, SUITE_KERNEL};
+pub use suite::{
+    run_suite, suite_config, wall_time, BenchResult, SuiteOptions, WallTime, STAGE_NAMES,
+    SUITE_KERNEL,
+};
 
 /// The counting allocator is installed process-wide here, so every
 /// binary linking `gpumech-perf` (the CLI, bench harnesses, fault suite)

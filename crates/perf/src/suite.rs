@@ -3,9 +3,10 @@
 //! Each stage benchmark isolates one pipeline layer (tracing, cache
 //! simulation + interval analysis, clustering + prediction, the timing
 //! oracle) plus an end-to-end run, on a fixed small workload so the whole
-//! suite finishes in seconds. Timing is min-of-N with warmup — the
-//! minimum is the noise-robust estimator for a deterministic computation
-//! — and a separate untimed pass under an [`AllocScope`] captures
+//! suite finishes in seconds. Timing is min-of-N with warmup through
+//! [`wall_time`], the timing loop every harness in the workspace shares —
+//! the minimum is the noise-robust estimator for a deterministic
+//! computation — and a separate untimed pass under an [`AllocScope`] captures
 //! allocation count, bytes, and peak live bytes without polluting the
 //! timed iterations with counting overhead.
 //!
@@ -98,7 +99,38 @@ fn dur_ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Runs one stage: warmup, an alloc-counting pass, then `iters` timed
+/// Wall time of one [`wall_time`] loop.
+#[derive(Debug, Clone, Copy)]
+pub struct WallTime {
+    /// Fastest timed iteration.
+    pub min: Duration,
+    /// Mean over the timed iterations.
+    pub mean: Duration,
+    /// Timed iterations actually run: the requested count, at least 1.
+    pub iters: u32,
+}
+
+/// The workspace's wall-clock timer: `warmup` untimed calls of `f`, then
+/// `iters` (at least 1) calls, each timed by its own `Instant` pair. Every
+/// result goes through `black_box` so the optimizer cannot drop the work.
+pub fn wall_time<T>(warmup: u32, iters: u32, mut f: impl FnMut() -> T) -> WallTime {
+    for _ in 0..warmup {
+        std::hint::black_box(f());
+    }
+    let iters = iters.max(1);
+    let mut min = Duration::MAX;
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        std::hint::black_box(f());
+        let dt = t0.elapsed();
+        min = min.min(dt);
+        total += dt;
+    }
+    WallTime { min, mean: total / iters, iters }
+}
+
+/// Runs one stage: warmup, an alloc-counting pass, then the timed
 /// iterations (with any injected sleep added inside the timed region).
 fn run_stage<T>(
     name: &'static str,
@@ -107,6 +139,7 @@ fn run_stage<T>(
     mut f: impl FnMut() -> Result<T, PerfError>,
 ) -> Result<BenchResult, PerfError> {
     let _span = gpumech_obs::SpanGuard::enter(span_name, Vec::new());
+    // Warmup precedes the alloc-counting pass so it counts a warm iteration.
     for _ in 0..opts.warmup {
         std::hint::black_box(f()?);
     }
@@ -116,19 +149,17 @@ fn run_stage<T>(
     drop(scope);
 
     let sleep = opts.injected_sleep(name);
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..opts.iters.max(1) {
-        let t0 = Instant::now();
+    let mut failure = None;
+    let wall = wall_time(0, opts.iters, || {
         if let Some(d) = sleep {
             std::thread::sleep(d);
         }
-        std::hint::black_box(f()?);
-        let dt = t0.elapsed();
-        min = min.min(dt);
-        total += dt;
+        f().map_err(|e| failure = Some(e))
+    });
+    if let Some(e) = failure {
+        return Err(e);
     }
-    let min_ns = dur_ns(min);
+    let min_ns = dur_ns(wall.min);
     gpumech_obs::counter!("perf.alloc.count", alloc.allocs);
     gpumech_obs::counter!("perf.alloc.bytes", alloc.bytes);
     gpumech_obs::gauge!("perf.alloc.peak_live", alloc.peak_live_bytes as f64);
@@ -136,8 +167,8 @@ fn run_stage<T>(
     Ok(BenchResult {
         name: name.to_string(),
         min_ns,
-        mean_ns: dur_ns(total / opts.iters.max(1)),
-        iters: opts.iters.max(1),
+        mean_ns: dur_ns(wall.mean),
+        iters: wall.iters,
         allocs: alloc.allocs,
         alloc_bytes: alloc.bytes,
         peak_live_bytes: alloc.peak_live_bytes,
@@ -213,6 +244,17 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<Vec<BenchResult>, PerfError> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wall_time_runs_warmup_plus_at_least_one_timed_iteration() {
+        for (warmup, iters, ran) in [(2, 3, 5), (1, 0, 2), (0, 0, 1)] {
+            let mut calls = 0u32;
+            let t = wall_time(warmup, iters, || calls += 1);
+            assert_eq!(calls, ran, "warmup {warmup}, iters {iters}");
+            assert_eq!(t.iters, iters.max(1), "effective count for {iters} requested");
+            assert!(t.min <= t.mean, "min {:?} exceeds mean {:?}", t.min, t.mean);
+        }
+    }
 
     #[test]
     fn suite_runs_every_stage_quickly() {
