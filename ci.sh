@@ -3,7 +3,8 @@
 # broken step.
 #
 #   1. release build of the whole workspace, plus the standalone
-#      perfbench benchmark (a removed public item it imports fails here)
+#      perfbench benchmark and its unit tests (a removed public item it
+#      imports, in release or `#[cfg(test)]` code, fails here)
 #   2. full test suite
 #   3. clippy with warnings denied (includes the panic-free restriction
 #      lints: unwrap_used / expect_used / panic)
@@ -62,6 +63,7 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release --workspace
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test =="
 cargo test --workspace -q

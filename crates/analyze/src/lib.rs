@@ -144,17 +144,10 @@ impl KernelAnalysis {
 /// [`Kernel::validate`] runs first: a kernel that fails basic validation
 /// gets a single `invalid-kernel` Error and empty fact tables (every
 /// `branch_uniform` entry `false`), so downstream consumers degrade to the
-/// conservative path.
+/// conservative path. Bank conflicts are judged against the default
+/// 32-bank × 4 B shared-memory model.
 #[must_use]
 pub fn analyze(kernel: &Kernel) -> KernelAnalysis {
-    analyze_with_banks(kernel, &BankModel::default())
-}
-
-/// [`analyze`] with an explicit shared-memory bank geometry (e.g. built
-/// [`From`] a [`gpumech_isa::SimConfig`]) instead of the default
-/// 32-bank × 4 B model.
-#[must_use]
-pub fn analyze_with_banks(kernel: &Kernel, bank_model: &BankModel) -> KernelAnalysis {
     let _span = gpumech_obs::span!("analyze.lint.kernel", name = kernel.name.as_str());
     let n = kernel.insts.len();
     if let Err(e) = kernel.validate() {
@@ -183,7 +176,8 @@ pub fn analyze_with_banks(kernel: &Kernel, bank_model: &BankModel) -> KernelAnal
 
     let barrier_diags = barrier::run(kernel, &cfg, &dv.branch_uniform);
     let races = race::run(kernel, &cfg, &dv.branch_uniform, df.written, df.maybe_uninit_reads);
-    let (shared_accesses, bank_diags) = banks::run(kernel, &cfg, &races.shapes, bank_model);
+    let (shared_accesses, bank_diags) =
+        banks::run(kernel, &cfg, &races.shapes, &BankModel::default());
 
     let mut metrics = metrics::compute(kernel, &cfg, &dv, df.written, df.max_live);
     metrics.divergent_syncs = barrier_diags.len() as u32;

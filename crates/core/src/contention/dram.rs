@@ -46,23 +46,12 @@ pub struct DramQueueResult {
 /// `cpi_before_queue` is the core CPI the model has accumulated so far
 /// (multithreading + MSHR) — it determines the time window the traffic is
 /// spread over, and the roofline tops it up when the bus is the real
-/// bottleneck.
+/// bottleneck. `opts` carries the ablations: `dram_roofline = false`
+/// reverts the saturated branch to the paper's half-backlog cap, and
+/// `core_level_normalization = false` divides by the representative
+/// warp's instructions alone, as Equation 17 is printed.
 #[must_use]
 pub fn dram_queue_delays(
-    profile: &IntervalProfile,
-    cfg: &SimConfig,
-    num_warps: usize,
-    cpi_before_queue: f64,
-) -> DramQueueResult {
-    dram_queue_delays_with(profile, cfg, num_warps, cpi_before_queue, ContentionOptions::default())
-}
-
-/// [`dram_queue_delays`] with explicit [`ContentionOptions`] (ablations):
-/// `dram_roofline = false` reverts the saturated branch to the paper's
-/// half-backlog cap, and `core_level_normalization = false` divides by the
-/// representative warp's instructions alone, as Equation 17 is printed.
-#[must_use]
-pub fn dram_queue_delays_with(
     profile: &IntervalProfile,
     cfg: &SimConfig,
     num_warps: usize,
@@ -157,7 +146,7 @@ mod tests {
     #[test]
     fn no_dram_traffic_no_delay() {
         let p = profile(vec![iv(10, 100.0, 0.0, 0.0)]);
-        let r = dram_queue_delays(&p, &cfg(), 32, 5.0);
+        let r = dram_queue_delays(&p, &cfg(), 32, 5.0, ContentionOptions::default());
         assert_eq!(r.cpi, 0.0);
         assert_eq!(r.rho, 0.0);
     }
@@ -166,7 +155,7 @@ mod tests {
     fn light_traffic_uses_md1_and_stays_small() {
         // 1 DRAM request per 10 instructions, generous wall clock.
         let p = profile(vec![iv(10, 0.0, 1.0, 1.0); 4]);
-        let r = dram_queue_delays(&p, &cfg(), 32, 8.0);
+        let r = dram_queue_delays(&p, &cfg(), 32, 8.0, ContentionOptions::default());
         assert!(r.rho < 1.0, "rho = {}", r.rho);
         assert!(r.cpi < 0.5, "light load should queue little: {}", r.cpi);
         assert!(r.cpi > 0.0);
@@ -178,7 +167,7 @@ mod tests {
         let p = profile(vec![iv(10, 0.0, 0.5, 1.0); 2]);
         let warps = 4.0;
         let cpi0 = 10.0;
-        let r = dram_queue_delays(&p, &c, 4, cpi0);
+        let r = dram_queue_delays(&p, &c, 4, cpi0, ContentionOptions::default());
         let wall = cpi0 * warps * 20.0;
         let lambda = 1.0 * warps * 16.0 / wall;
         let wait = lambda / (2.0 * (1.0 - lambda));
@@ -191,7 +180,7 @@ mod tests {
         // Write flood: 64 requests per 40 instructions → roofline CPI =
         // s * cores * 1.6 = 17.07 at Table I.
         let p = profile(vec![iv(40, 400.0, 64.0, 1.0); 5]);
-        let r = dram_queue_delays(&p, &cfg(), 32, 2.0);
+        let r = dram_queue_delays(&p, &cfg(), 32, 2.0, ContentionOptions::default());
         assert!(r.rho >= 1.0);
         let roofline = cfg().dram_service_cycles() * 16.0 * (64.0 * 5.0) / 200.0;
         assert!((r.cpi - (roofline - 2.0)).abs() < 1e-9, "cpi {} roofline {roofline}", r.cpi);
@@ -202,7 +191,7 @@ mod tests {
         // If the model already exceeds the roofline, QUEUE adds nothing.
         let p = profile(vec![iv(40, 400.0, 8.0, 1.0)]);
         let roofline = cfg().dram_service_cycles() * 16.0 * 8.0 / 40.0;
-        let r = dram_queue_delays(&p, &cfg(), 32, roofline + 50.0);
+        let r = dram_queue_delays(&p, &cfg(), 32, roofline + 50.0, ContentionOptions::default());
         assert!(r.cpi >= 0.0);
         if r.rho >= 1.0 {
             assert_eq!(r.cpi, 0.0);
@@ -212,8 +201,9 @@ mod tests {
     #[test]
     fn delay_increases_as_bandwidth_decreases() {
         let p = profile(vec![iv(10, 100.0, 2.0, 1.0); 4]);
-        let hi = dram_queue_delays(&p, &cfg().with_dram_bandwidth(256.0), 32, 6.0);
-        let lo = dram_queue_delays(&p, &cfg().with_dram_bandwidth(64.0), 32, 6.0);
+        let opts = ContentionOptions::default();
+        let hi = dram_queue_delays(&p, &cfg().with_dram_bandwidth(256.0), 32, 6.0, opts);
+        let lo = dram_queue_delays(&p, &cfg().with_dram_bandwidth(64.0), 32, 6.0, opts);
         assert!(lo.cpi > hi.cpi, "64 GB/s must queue more: {} vs {}", lo.cpi, hi.cpi);
     }
 
@@ -221,7 +211,7 @@ mod tests {
     fn store_only_traffic_below_saturation_is_free() {
         // Stores feed lambda but nothing waits when rho < 1.
         let p = profile(vec![iv(20, 0.0, 1.0, 0.0); 3]);
-        let r = dram_queue_delays(&p, &cfg(), 32, 4.0);
+        let r = dram_queue_delays(&p, &cfg(), 32, 4.0, ContentionOptions::default());
         assert!(r.rho < 1.0);
         assert_eq!(r.cpi, 0.0);
     }

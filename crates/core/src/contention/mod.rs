@@ -13,7 +13,7 @@
 mod dram;
 mod mshr;
 
-pub use dram::{dram_queue_delays, dram_queue_delays_with, DramQueueResult};
+pub use dram::{dram_queue_delays, DramQueueResult};
 pub use mshr::mshr_delay;
 
 use gpumech_isa::SimConfig;
@@ -133,13 +133,7 @@ pub fn contention_cpi_with(
         eq19_cpi
     };
 
-    let dram = dram_queue_delays_with(
-        profile,
-        cfg,
-        num_warps,
-        cpi_multithreading + cpi_mshr,
-        opts,
-    );
+    let dram = dram_queue_delays(profile, cfg, num_warps, cpi_multithreading + cpi_mshr, opts);
 
     // SFU throughput roofline (extension; see `sfu_cpi`).
     let cpi_sfu = sfu_cpi(profile, cfg, cpi_multithreading + cpi_mshr + dram.cpi);

@@ -9,7 +9,7 @@ use std::time::Instant;
 use gpumech_isa::{ConfigError, SchedulingPolicy, SimConfig};
 use gpumech_mem::{simulate_hierarchy_cancellable, MemStats};
 use gpumech_obs::{CancelToken, Interrupt, PipelineReport, StageReport};
-use gpumech_trace::{KernelTrace, TraceError, WarpTrace};
+use gpumech_trace::{trace_kernel_cancellable, KernelTrace, TraceError, TraceOptions};
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{markov_chain_cpi, naive_interval_cpi};
@@ -104,8 +104,14 @@ impl std::error::Error for ModelError {
 }
 
 impl From<TraceError> for ModelError {
+    /// An interrupted trace is an interrupted pipeline: it maps to
+    /// [`ModelError::Interrupted`], as [`PredictionRequest::cancel`]
+    /// promises; every other trace failure stays [`ModelError::Trace`].
     fn from(e: TraceError) -> Self {
-        ModelError::Trace(e)
+        match e {
+            TraceError::Interrupted(why) => ModelError::Interrupted(why),
+            e => ModelError::Trace(e),
+        }
     }
 }
 
@@ -242,7 +248,12 @@ impl Gpumech {
         let owned: Analysis;
         let analysis: &Analysis = match &request.source {
             Source::Workload(w) => {
-                let trace = w.trace_cancellable(cancel)?;
+                let trace = trace_kernel_cancellable(
+                    &w.kernel,
+                    w.launch,
+                    TraceOptions::default(),
+                    cancel,
+                )?;
                 owned = self.analyze_cancellable(&trace, cancel)?;
                 &owned
             }
@@ -279,9 +290,7 @@ impl Gpumech {
     ///
     /// Returns [`ModelError::InvalidConfig`] or [`ModelError::EmptyKernel`].
     pub fn analyze(&self, trace: &KernelTrace) -> Result<Analysis, ModelError> {
-        self.analyze_with(trace, |warps, cfg, mem| {
-            Ok(warps.iter().map(|w| build_profile(w, cfg, mem)).collect())
-        })
+        self.analyze_cancellable(trace, &CancelToken::never())
     }
 
     /// [`Gpumech::analyze`] under a [`CancelToken`]: the cache simulation
@@ -298,62 +307,6 @@ impl Gpumech {
         trace: &KernelTrace,
         cancel: &CancelToken,
     ) -> Result<Analysis, ModelError> {
-        self.analyze_with_cancel(
-            trace,
-            |warps, cfg, mem| {
-                warps
-                    .iter()
-                    .map(|w| {
-                        cancel.check().map_err(ModelError::Interrupted)?;
-                        Ok(build_profile(w, cfg, mem))
-                    })
-                    .collect()
-            },
-            cancel,
-        )
-    }
-
-    /// [`Gpumech::analyze`] with a pluggable per-warp profiler — the seam
-    /// that lets execution layers parallelize interval-profile
-    /// construction without this crate depending on them.
-    ///
-    /// `profiler` receives every warp of the validated trace plus the
-    /// shared cache statistics and must return one [`IntervalProfile`]
-    /// per warp, in warp order. The sequential [`Gpumech::analyze`] is
-    /// exactly this method with a serial `build_profile` loop, so a
-    /// profiler that computes the same profiles (in any execution order)
-    /// yields a bit-identical [`Analysis`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`], [`ModelError::Trace`], or
-    /// [`ModelError::EmptyKernel`] for invalid inputs; any error from
-    /// `profiler` is propagated, and a profiler returning the wrong
-    /// number of profiles surfaces as [`ModelError::Execution`].
-    pub fn analyze_with<F>(&self, trace: &KernelTrace, profiler: F) -> Result<Analysis, ModelError>
-    where
-        F: FnOnce(&[WarpTrace], &SimConfig, &MemStats) -> Result<Vec<IntervalProfile>, ModelError>,
-    {
-        self.analyze_with_cancel(trace, profiler, &CancelToken::never())
-    }
-
-    /// [`Gpumech::analyze_with`] under a [`CancelToken`]: the cache
-    /// simulation polls `cancel` as it replays; `profiler` is responsible
-    /// for its own polling (the sequential profiler checks between warps).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gpumech::analyze_with`], plus [`ModelError::Interrupted`]
-    /// once `cancel` fires.
-    pub fn analyze_with_cancel<F>(
-        &self,
-        trace: &KernelTrace,
-        profiler: F,
-        cancel: &CancelToken,
-    ) -> Result<Analysis, ModelError>
-    where
-        F: FnOnce(&[WarpTrace], &SimConfig, &MemStats) -> Result<Vec<IntervalProfile>, ModelError>,
-    {
         let _span = gpumech_obs::span!(
             "core.pipeline.analyze",
             name = trace.name.as_str(),
@@ -383,15 +336,15 @@ impl Gpumech {
         let t0 = Instant::now();
         let profiles: Vec<IntervalProfile> = {
             let _span = gpumech_obs::span!("core.pipeline.intervals", warps = trace.warps.len());
-            profiler(&trace.warps, &self.cfg, &mem)?
+            trace
+                .warps
+                .iter()
+                .map(|w| {
+                    cancel.check().map_err(ModelError::Interrupted)?;
+                    Ok(build_profile(w, &self.cfg, &mem))
+                })
+                .collect::<Result<_, ModelError>>()?
         };
-        if profiles.len() != trace.warps.len() {
-            return Err(ModelError::Execution(format!(
-                "profiler returned {} profiles for {} warps",
-                profiles.len(),
-                trace.warps.len()
-            )));
-        }
         let mut stage = StageReport::new("core.pipeline.intervals");
         stage.wall_ns = elapsed_ns(t0);
         stage.counter("profiles", profiles.len() as u64);
@@ -833,31 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_custom_profiler_matches_sequential() {
-        let t = trace_of("parboil_spmv", 4);
-        let m = model();
-        let sequential = m.analyze(&t).unwrap();
-        // A profiler that builds the same profiles in reverse order still
-        // returns them in warp order, so the analyses must be equal.
-        let custom = m
-            .analyze_with(&t, |warps, cfg, mem| {
-                let mut profiles: Vec<_> =
-                    warps.iter().rev().map(|w| build_profile(w, cfg, mem)).collect();
-                profiles.reverse();
-                Ok(profiles)
-            })
-            .unwrap();
-        assert_eq!(sequential, custom);
-    }
-
-    #[test]
-    fn analyze_with_length_mismatch_is_an_execution_error() {
-        let t = trace_of("sdk_vectoradd", 2);
-        let err = model().analyze_with(&t, |_, _, _| Ok(Vec::new())).unwrap_err();
-        assert!(matches!(err, ModelError::Execution(_)));
-    }
-
-    #[test]
     fn run_rejects_a_cancelled_token_before_doing_any_work() {
         let w = workloads::by_name("sdk_vectoradd").unwrap().with_blocks(2);
         let cancelled = CancelToken::never();
@@ -869,11 +797,16 @@ mod tests {
 
     #[test]
     fn fake_clock_deadline_interrupts_the_analysis_stages() {
-        let t = trace_of("sdk_vectoradd", 2);
-        let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));
-        let token = CancelToken::with_clock(clock, 1_500);
-        let err = model().run(&PredictionRequest::from_trace(&t).cancel(token)).unwrap_err();
-        assert_eq!(err, ModelError::Interrupted(Interrupt::DeadlineExceeded));
+        let w = workloads::by_name("sdk_vectoradd").unwrap().with_blocks(2);
+        let t = w.trace().unwrap();
+        // The trace source fires in the cache simulation or the profiler;
+        // the workload source fires while tracing.
+        for request in [PredictionRequest::from_trace(&t), PredictionRequest::from_workload(&w)] {
+            let clock = std::sync::Arc::new(gpumech_obs::FakeClock::new(1_000));
+            let token = CancelToken::with_clock(clock, 1_500);
+            let err = model().run(&request.cancel(token)).unwrap_err();
+            assert_eq!(err, ModelError::Interrupted(Interrupt::DeadlineExceeded));
+        }
     }
 
     #[test]

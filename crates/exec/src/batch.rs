@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gpumech_core::{
-    build_profile, Gpumech, Model, ModelError, Prediction, PredictionRequest, SelectionMethod,
-    Weighting,
+    Gpumech, Model, ModelError, Prediction, PredictionRequest, SelectionMethod, Weighting,
 };
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_obs::{CancelToken, Interrupt};
@@ -27,9 +26,7 @@ use gpumech_trace::KernelTrace;
 use crate::cache::{
     analysis_config_fingerprint, payload_checksum, trace_fingerprint, CacheKey, ProfileCache,
 };
-use crate::pool::{
-    maybe_inject, panic_message, run_indexed, FaultInjection, FaultKind, PoolOptions,
-};
+use crate::pool::{maybe_inject, panic_message, run_indexed, FaultKind, PoolOptions};
 use crate::resilience::{BatchOptions, CircuitBreaker, Journal};
 use crate::{BatchError, ExecError};
 
@@ -135,20 +132,6 @@ impl BatchEngine {
     #[must_use]
     pub fn run(&self, jobs: &[BatchJob]) -> Vec<Result<Prediction, BatchError>> {
         self.run_with(jobs, &BatchOptions::default())
-    }
-
-    /// [`BatchEngine::run`] with an optional deliberate fault, exposed for
-    /// the fault-injection suite (`None` on every production path).
-    #[must_use]
-    pub fn run_with_injection(
-        &self,
-        jobs: &[BatchJob],
-        inject: Option<FaultInjection>,
-    ) -> Vec<Result<Prediction, BatchError>> {
-        self.run_with(
-            jobs,
-            &BatchOptions { injections: inject.into_iter().collect(), ..BatchOptions::default() },
-        )
     }
 
     /// The resilient batch entry point: [`BatchEngine::run`] under a
@@ -343,7 +326,7 @@ impl BatchEngine {
         let model = Gpumech::new(job.cfg.clone());
         let (analysis, cache_warnings) = self
             .cache
-            .get_or_compute_logged(key, || model.analyze_cancellable(&job.trace, token))?;
+            .get_or_compute(key, || model.analyze_cancellable(&job.trace, token))?;
         let request = PredictionRequest::from_analysis(&analysis)
             .policy(job.policy)
             .model(job.model)
@@ -398,33 +381,6 @@ fn interrupt_error(why: Interrupt) -> ExecError {
         Interrupt::DeadlineExceeded => ExecError::Deadline,
         Interrupt::Cancelled => ExecError::Cancelled,
     }
-}
-
-/// Parallel per-warp analysis of a single kernel: interval profiles are
-/// built concurrently on the pool, cache simulation stays sequential (the
-/// shared L2 makes it a whole-trace computation), and the resulting
-/// [`Analysis`](gpumech_core::Analysis) is bit-identical to
-/// [`Gpumech::analyze`] because profiles are pure per-warp functions
-/// published in warp order.
-///
-/// # Errors
-///
-/// Exactly [`Gpumech::analyze`]'s errors, plus [`ModelError::Execution`]
-/// if a profiling worker panics.
-pub fn analyze_parallel(
-    model: &Gpumech,
-    trace: &KernelTrace,
-    workers: usize,
-) -> Result<gpumech_core::Analysis, ModelError> {
-    model.analyze_with(trace, |warps, cfg, mem| {
-        let opts = PoolOptions::new(effective_workers(workers));
-        let results = run_indexed(&opts, warps, |_, w| Ok(build_profile(w, cfg, mem)));
-        let mut profiles = Vec::with_capacity(results.len());
-        for r in results {
-            profiles.push(r.map_err(|e| ModelError::Execution(e.to_string()))?);
-        }
-        Ok(profiles)
-    })
 }
 
 /// Canonical JSON of a prediction for byte-identity assertions: wall-clock
@@ -512,18 +468,6 @@ mod tests {
         CacheKey {
             trace: trace_fingerprint(&job.trace),
             config: analysis_config_fingerprint(&job.cfg),
-        }
-    }
-
-    #[test]
-    fn parallel_per_warp_analysis_is_bit_identical() {
-        let trace =
-            workloads::by_name("lud_diagonal").unwrap().with_blocks(4).trace().unwrap();
-        let model = Gpumech::new(SimConfig::default());
-        let seq = model.analyze(&trace).unwrap();
-        for workers in [1, 2, 8] {
-            let par = analyze_parallel(&model, &trace, workers).unwrap();
-            assert_eq!(seq, par, "workers={workers}");
         }
     }
 }

@@ -430,9 +430,9 @@ impl ProfileCache {
     }
 
     /// Returns the cached [`Analysis`] for `key`, computing and inserting
-    /// it via `compute` on a miss. Disk-layer incidents (quarantined
-    /// corrupt entries, failed writes) are discarded; use
-    /// [`ProfileCache::get_or_compute_logged`] to observe them.
+    /// it via `compute` on a miss, together with the disk-layer warnings
+    /// raised while serving this key (quarantined corrupt entries, failed
+    /// persists). The warnings are empty on the happy path.
     ///
     /// The lock is **not** held during `compute`, so concurrent workers
     /// analyzing different keys proceed in parallel. Two workers racing on
@@ -442,21 +442,7 @@ impl ProfileCache {
     /// # Errors
     ///
     /// Propagates whatever `compute` returns on a miss.
-    pub fn get_or_compute<F>(&self, key: CacheKey, compute: F) -> Result<Arc<Analysis>, ModelError>
-    where
-        F: FnOnce() -> Result<Analysis, ModelError>,
-    {
-        self.get_or_compute_logged(key, compute).map(|(a, _)| a)
-    }
-
-    /// [`ProfileCache::get_or_compute`] that additionally returns the
-    /// disk-layer warnings raised while serving this key (quarantined
-    /// corrupt entries, failed persists). Empty on the happy path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates whatever `compute` returns on a miss.
-    pub fn get_or_compute_logged<F>(
+    pub fn get_or_compute<F>(
         &self,
         key: CacheKey,
         compute: F,
@@ -570,7 +556,7 @@ mod tests {
         let key = cache_key(&trace, &cfg);
         let mut computes = 0usize;
         for _ in 0..3 {
-            let got = cache
+            let (got, _) = cache
                 .get_or_compute(key, || {
                     computes += 1;
                     Gpumech::new(cfg.clone()).analyze(&trace)
@@ -591,12 +577,12 @@ mod tests {
         let key = cache_key(&trace, &cfg);
         let fresh = {
             let cache = ProfileCache::with_disk(&dir);
-            cache.get_or_compute(key, || Gpumech::new(cfg.clone()).analyze(&trace)).unwrap()
+            cache.get_or_compute(key, || Gpumech::new(cfg.clone()).analyze(&trace)).unwrap().0
         };
         // A new cache instance (cold memory) must load the entry from disk
         // without calling compute, and the loaded value must be equal.
         let cold = ProfileCache::with_disk(&dir);
-        let reloaded = cold
+        let (reloaded, _) = cold
             .get_or_compute(key, || {
                 panic!("disk hit expected; compute must not run")
             })
@@ -653,7 +639,7 @@ mod tests {
         let cold = ProfileCache::with_disk(&dir);
         let mut computed = false;
         let (got, warnings) = cold
-            .get_or_compute_logged(key, || {
+            .get_or_compute(key, || {
                 computed = true;
                 Gpumech::new(cfg.clone()).analyze(&trace)
             })

@@ -298,9 +298,8 @@ pub fn run_batch_case(
     inject: Option<FaultInjection>,
 ) -> Vec<Outcome> {
     let _span = gpumech_obs::span!("fault.case.batch");
-    match catch_unwind(AssertUnwindSafe(|| {
-        BatchEngine::new(workers).run_with_injection(jobs, inject)
-    })) {
+    let opts = BatchOptions { injections: inject.into_iter().collect(), ..BatchOptions::default() };
+    match catch_unwind(AssertUnwindSafe(|| BatchEngine::new(workers).run_with(jobs, &opts))) {
         Ok(results) => results
             .into_iter()
             .map(|r| match r {

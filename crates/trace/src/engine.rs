@@ -565,27 +565,15 @@ pub fn trace_warp(
 ///
 /// Propagates the first [`TraceError`] encountered.
 pub fn trace_kernel(kernel: &Kernel, launch: LaunchConfig) -> Result<KernelTrace, TraceError> {
-    trace_kernel_opts(kernel, launch, TraceOptions::default())
+    trace_kernel_cancellable(kernel, launch, TraceOptions::default(), &CancelToken::never())
 }
 
-/// [`trace_kernel`] with explicit [`TraceOptions`] — used to A/B the
-/// analysis-guided fast paths against the conservative per-lane execution.
-///
-/// # Errors
-///
-/// Propagates the first [`TraceError`] encountered.
-pub fn trace_kernel_opts(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    opts: TraceOptions,
-) -> Result<KernelTrace, TraceError> {
-    trace_kernel_cancellable(kernel, launch, opts, &CancelToken::never())
-}
-
-/// [`trace_kernel_opts`] under a [`CancelToken`]: the warp machines poll
-/// the token at a fixed dynamic-instruction stride and between warps, so
-/// an expired deadline or explicit cancellation aborts tracing within a
-/// bounded amount of work.
+/// [`trace_kernel`] with explicit [`TraceOptions`] under a
+/// [`CancelToken`]: the warp machines poll the token at a fixed
+/// dynamic-instruction stride and between warps, so an expired deadline
+/// or explicit cancellation aborts tracing within a bounded amount of
+/// work. The options A/B the analysis-guided fast paths against the
+/// conservative per-lane execution.
 ///
 /// # Errors
 ///

@@ -38,8 +38,8 @@ pub mod record;
 pub mod workloads;
 
 pub use engine::{
-    trace_kernel, trace_kernel_cancellable, trace_kernel_opts, trace_warp, TraceError,
-    TraceOptions, MAX_DYN_INSTS_PER_WARP,
+    trace_kernel, trace_kernel_cancellable, trace_warp, TraceError, TraceOptions,
+    MAX_DYN_INSTS_PER_WARP,
 };
 pub use launch::LaunchConfig;
 pub use record::{KernelTrace, TraceInst, WarpTrace};

@@ -85,24 +85,6 @@ impl Workload {
         trace_kernel(&self.kernel, self.launch)
     }
 
-    /// [`Workload::trace`] under a [`gpumech_obs::CancelToken`] — aborts
-    /// with [`TraceError::Interrupted`] once the token fires.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TraceError`] from the functional simulator.
-    pub fn trace_cancellable(
-        &self,
-        cancel: &gpumech_obs::CancelToken,
-    ) -> Result<KernelTrace, TraceError> {
-        crate::trace_kernel_cancellable(
-            &self.kernel,
-            self.launch,
-            crate::TraceOptions::default(),
-            cancel,
-        )
-    }
-
     /// Returns a copy with a different block count (used by fast tests and
     /// by sweeps that shrink the grid).
     #[must_use]

@@ -14,7 +14,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use gpumech_analyze::{analyze, CoalesceClass, Severity};
-use gpumech_trace::{io, trace_kernel_opts, workloads, TraceOptions};
+use gpumech_obs::CancelToken;
+use gpumech_trace::{io, trace_kernel_cancellable, workloads, TraceOptions};
 
 /// `(name, branches, divergent_branches, [broadcast, coalesced, strided,
 /// scattered])` for every bundled workload.
@@ -130,12 +131,12 @@ fn coalescing_classes_agree_with_the_divergence_tags() {
 fn uniform_branch_fast_path_traces_are_byte_identical() {
     for w in workloads::all() {
         let w = w.with_blocks(2);
-        let fast = trace_kernel_opts(&w.kernel, w.launch, TraceOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let slow = trace_kernel_opts(
+        let fast = w.trace().unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let slow = trace_kernel_cancellable(
             &w.kernel,
             w.launch,
             TraceOptions { uniform_branch_fast_path: false },
+            &CancelToken::never(),
         )
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let (hf, hs) = (fnv1a(&io::encode(&fast)), fnv1a(&io::encode(&slow)));
