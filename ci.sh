@@ -13,9 +13,11 @@
 #   5. fault-injection suite: every mutator over all 40 workloads must
 #      yield a typed error or a finite CPI — never a panic; plus the
 #      exec-layer suite (injected worker panics / poisoned queue)
-#   6. batch determinism: the parallel engine's output is byte-identical
-#      to the sequential pipeline over all 40 workloads (release, so the
-#      suite also exercises optimized codegen)
+#   6. batch determinism and trace identity: the parallel engine's output
+#      is byte-identical to the sequential pipeline over all 40 workloads,
+#      and every workload's trace fingerprint, binary encoding and JSON
+#      form still hash to their pinned values (both in release, so they
+#      also exercise optimized codegen, where the tracer runs threaded)
 #   7. benchmarks: sequential-vs-batch walls on both axes, recorded as
 #      results/BENCH_parallel.json, and a smoke run of the Section VI-D
 #      model-vs-oracle harness (`speedup`, the only one)
@@ -77,8 +79,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== fault injection =="
 cargo test -p gpumech-fault -q
 
-echo "== batch determinism =="
+echo "== batch determinism and trace identity =="
 cargo test -p gpumech-exec --release --test batch_determinism -q
+cargo test -p gpumech-exec --release --test trace_identity -q
 
 echo "== benchmarks =="
 cargo run --release -p gpumech-bench --bin bench_parallel -- \

@@ -9,12 +9,12 @@
 
 use gpumech_isa::{InstKind, MemSpace, SimConfig};
 use gpumech_mem::MemStats;
-use gpumech_trace::{TraceInst, WarpTrace};
+use gpumech_trace::{DynInst, WarpTrace};
 
 use super::profile::{Interval, IntervalProfile, StallCause};
 
 /// Latency the interval model assigns to one dynamic instruction.
-fn latency_of(inst: &TraceInst, cfg: &SimConfig, mem: &MemStats) -> f64 {
+fn latency_of(inst: DynInst<'_>, cfg: &SimConfig, mem: &MemStats) -> f64 {
     match inst.kind {
         InstKind::Load(MemSpace::Global) => mem.load_latency(inst.pc),
         // Stores retire at issue (write-through, nothing depends on them).
@@ -31,7 +31,7 @@ fn latency_of(inst: &TraceInst, cfg: &SimConfig, mem: &MemStats) -> f64 {
 #[must_use]
 pub fn build_profile(warp: &WarpTrace, cfg: &SimConfig, mem: &MemStats) -> IntervalProfile {
     let issue_rate = cfg.issue_rate();
-    let n = warp.insts.len();
+    let n = warp.len();
     let mut profile = IntervalProfile { intervals: Vec::new(), issue_rate };
     if n == 0 {
         return profile;
@@ -39,22 +39,22 @@ pub fn build_profile(warp: &WarpTrace, cfg: &SimConfig, mem: &MemStats) -> Inter
 
     let mut done = vec![0.0f64; n];
     let mut issue_prev = 0.0f64;
-    done[0] = issue_prev + latency_of(&warp.insts[0], cfg, mem);
+    done[0] = issue_prev + latency_of(warp.inst(0), cfg, mem);
 
     // Accumulators for the interval currently being formed.
     let mut cur = new_interval();
-    accumulate(&mut cur, &warp.insts[0], mem, cfg);
+    accumulate(&mut cur, warp.inst(0), mem, cfg);
 
     for k in 1..n {
-        let inst = &warp.insts[k];
+        let inst = warp.inst(k);
         // Equation 4: issue(k) = max(issue(k-1) + 1, done(source) + 1).
         let mut dep_done = 0.0f64;
-        let mut blamed: Option<&TraceInst> = None;
-        for &d in &inst.deps {
+        let mut blamed: Option<usize> = None;
+        for &d in inst.deps {
             let dd = done[d as usize];
             if dd > dep_done {
                 dep_done = dd;
-                blamed = Some(&warp.insts[d as usize]);
+                blamed = Some(d as usize);
             }
         }
         let seq = issue_prev + 1.0 / issue_rate;
@@ -67,7 +67,7 @@ pub fn build_profile(warp: &WarpTrace, cfg: &SimConfig, mem: &MemStats) -> Inter
             // gets the blame (Figure 6: the instruction "that leads to
             // stall cycles").
             cur.stall_cycles = stall;
-            cur.cause = match blamed {
+            cur.cause = match blamed.map(|b| warp.inst(b)) {
                 Some(b) if matches!(b.kind, InstKind::Load(MemSpace::Global)) => {
                     StallCause::Memory { pc: b.pc }
                 }
@@ -87,7 +87,7 @@ fn new_interval() -> Interval {
     Interval::default()
 }
 
-fn accumulate(cur: &mut Interval, inst: &TraceInst, mem: &MemStats, _cfg: &SimConfig) {
+fn accumulate(cur: &mut Interval, inst: DynInst<'_>, mem: &MemStats, _cfg: &SimConfig) {
     cur.insts += 1;
     match inst.kind {
         InstKind::Load(MemSpace::Global) => {
@@ -177,8 +177,7 @@ mod tests {
         let p = build_profile(&trace.warps[0], &cfg(), &mem);
 
         let load_pc = trace.warps[0]
-            .insts
-            .iter()
+            .insts()
             .find(|i| i.kind.is_global_load())
             .map(|i| i.pc)
             .unwrap();

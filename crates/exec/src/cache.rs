@@ -485,7 +485,7 @@ impl ProfileCache {
 mod tests {
     use super::*;
     use gpumech_core::Gpumech;
-    use gpumech_trace::workloads;
+    use gpumech_trace::{workloads, DynInst, WarpTrace};
 
     fn small_trace(name: &str) -> KernelTrace {
         workloads::by_name(name).unwrap().with_blocks(2).trace().unwrap()
@@ -498,7 +498,13 @@ mod tests {
         assert_eq!(trace_fingerprint(&a), trace_fingerprint(&a.clone()));
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&b));
         let mut mutated = a.clone();
-        mutated.warps[0].insts[0].active_mask ^= 1;
+        let w0 = &a.warps[0];
+        let mut flipped = WarpTrace::new(w0.warp, w0.block);
+        for (k, inst) in w0.insts().enumerate() {
+            let active_mask = if k == 0 { inst.active_mask ^ 1 } else { inst.active_mask };
+            flipped.push(DynInst { active_mask, ..inst }).unwrap();
+        }
+        mutated.warps[0] = flipped;
         assert_ne!(trace_fingerprint(&a), trace_fingerprint(&mutated));
     }
 

@@ -60,7 +60,7 @@ use gpumech_exec::pool::panic_message;
 use gpumech_exec::{BatchEngine, BatchJob, BatchOptions, FaultInjection, FaultKind};
 use gpumech_isa::{SchedulingPolicy, SimConfig};
 use gpumech_timing::simulate;
-use gpumech_trace::{splitmix64, KernelTrace};
+use gpumech_trace::{splitmix64, DynInst, KernelTrace, WarpTrace};
 
 /// What happened when a (possibly corrupted) input was fed to a runner.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,6 +168,41 @@ pub const MUTATORS: &[(&str, Mutator)] = &[
     ("swap_warp_ids", swap_warp_ids),
 ];
 
+/// One instruction, copied out of its warp's columns so a mutator can
+/// edit it freely.
+struct OwnedInst {
+    active_mask: u32,
+    deps: Vec<u32>,
+    addrs: Vec<u64>,
+}
+
+/// Rebuilds `warp` with every instruction passed through `edit`, which
+/// gets the instruction's index and an editable copy of its mask,
+/// dependencies and addresses.
+fn rewrite(warp: &mut WarpTrace, mut edit: impl FnMut(usize, &mut OwnedInst)) {
+    let mut out = WarpTrace::new(warp.warp, warp.block);
+    for (k, inst) in warp.insts().enumerate() {
+        let mut owned = OwnedInst {
+            active_mask: inst.active_mask,
+            deps: inst.deps.to_vec(),
+            addrs: inst.addrs.to_vec(),
+        };
+        edit(k, &mut owned);
+        let edited = DynInst {
+            deps: &owned.deps,
+            active_mask: owned.active_mask,
+            addrs: &owned.addrs,
+            ..inst
+        };
+        // Arenas overflow only past u32::MAX entries, far beyond any
+        // library trace; were one to, the warp would simply end here.
+        if out.push(edited).is_err() {
+            break;
+        }
+    }
+    *warp = out;
+}
+
 /// Truncates the warp list (and, on odd seeds, the surviving warps'
 /// instruction streams) so the trace no longer matches its launch
 /// geometry.
@@ -177,8 +212,8 @@ pub fn truncate_trace(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) 
     trace.warps.truncate(cut);
     if r & 1 == 1 {
         for w in &mut trace.warps {
-            let keep = (splitmix64(r ^ w.warp.index() as u64) as usize) % (w.insts.len() + 1);
-            w.insts.truncate(keep);
+            let keep = (splitmix64(r ^ w.warp.index() as u64) as usize) % (w.len() + 1);
+            w.truncate(keep);
         }
     }
 }
@@ -200,13 +235,13 @@ pub fn drop_warps(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
 pub fn zero_masks(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        for inst in &mut w.insts {
+        rewrite(w, |_, inst| {
             r = splitmix64(r);
             if r & 7 == 0 {
                 inst.active_mask = 0;
                 inst.addrs.clear();
             }
-        }
+        });
     }
 }
 
@@ -215,8 +250,8 @@ pub fn zero_masks(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
 pub fn scramble_deps(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        let n = w.insts.len() as u32;
-        for (k, inst) in w.insts.iter_mut().enumerate() {
+        let n = w.len() as u32;
+        rewrite(w, |k, inst| {
             r = splitmix64(r);
             if r & 3 == 0 {
                 let a = (r >> 8) as u32 % (n + 2); // may be >= k or == k
@@ -225,7 +260,7 @@ pub fn scramble_deps(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
             } else if r & 3 == 1 {
                 inst.deps = vec![k as u32]; // self-dependency
             }
-        }
+        });
     }
 }
 
@@ -254,9 +289,9 @@ pub fn extreme_config(_trace: &mut KernelTrace, cfg: &mut SimConfig, seed: u64) 
 pub fn corrupt_addrs(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
     let mut r = splitmix64(seed);
     for w in &mut trace.warps {
-        for inst in &mut w.insts {
+        rewrite(w, |_, inst| {
             if inst.addrs.is_empty() {
-                continue;
+                return;
             }
             r = splitmix64(r);
             if seed & 1 == 0 {
@@ -270,7 +305,7 @@ pub fn corrupt_addrs(trace: &mut KernelTrace, _cfg: &mut SimConfig, seed: u64) {
                 let dup = inst.addrs[0];
                 inst.addrs.push(dup);
             }
-        }
+        });
     }
 }
 

@@ -119,10 +119,10 @@ fn simulate_impl<E>(
                     // skip (don't panic) if a corrupt one slipped through.
                     let Some(warp) = trace.warps.get(b * wpb + w) else { continue };
                     let mem_idxs: Vec<u32> = warp
-                        .insts
+                        .kinds()
                         .iter()
                         .enumerate()
-                        .filter(|(_, i)| i.kind.is_global_mem())
+                        .filter(|(_, k)| k.is_global_mem())
                         .map(|(n, _)| n as u32)
                         .collect();
                     cursors.push(Cursor { warp, mem_idxs, next: 0 });
@@ -155,10 +155,10 @@ fn simulate_impl<E>(
                 progressed = true;
 
                 let cur = &mut cursors[pick];
-                let inst = &cur.warp.insts[cur.mem_idxs[cur.next] as usize];
+                let inst = cur.warp.inst(cur.mem_idxs[cur.next] as usize);
                 cur.next += 1;
 
-                let lines = coalesce(&inst.addrs, line);
+                let lines = coalesce(inst.addrs, line);
                 let is_store = inst.kind.is_global_store();
                 let entry = stats.entry(inst.pc);
                 entry.is_store = is_store;

@@ -715,12 +715,14 @@ fn lookup_trace(
     kernel: &str,
     blocks: Option<usize>,
 ) -> Result<Arc<KernelTrace>, ApiError> {
-    let w = workloads::by_name(kernel)
-        .ok_or_else(|| ApiError::new(404, "kernel_not_found", format!("unknown kernel {kernel:?}")))?;
+    // Memo first: only a catalogue kernel is ever memoized, so a hit skips
+    // rebuilding the catalogue and an unknown kernel still misses below.
     let key = (kernel.to_string(), blocks.unwrap_or(0));
     if let Some(t) = lock(&state.traces).get(&key) {
         return Ok(Arc::clone(t));
     }
+    let w = workloads::by_name(kernel)
+        .ok_or_else(|| ApiError::new(404, "kernel_not_found", format!("unknown kernel {kernel:?}")))?;
     let w = match blocks {
         Some(b) => w.with_blocks(b),
         None => w,

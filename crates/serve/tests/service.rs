@@ -163,6 +163,23 @@ fn typed_client_errors() {
 }
 
 #[test]
+fn unknown_kernels_stay_404_once_the_trace_memo_holds_entries() {
+    let _g = guard();
+    let srv = Running::start(ServeConfig::default());
+    // Fill the (kernel, blocks) trace memo, then ask for an unknown kernel
+    // at the same grid: the memo is checked first and must not answer it.
+    for round in 0..2 {
+        let ok = predict(srv.addr, r#"{"kernel":"sdk_vectoradd","blocks":2}"#);
+        assert_eq!(ok.status, 200, "round {round}: {}", ok.body);
+        let missing = predict(srv.addr, r#"{"kernel":"no_such_kernel","blocks":2}"#);
+        assert_eq!(missing.status, 404, "round {round}: {}", missing.body);
+        assert!(missing.body.contains("\"error\":\"kernel_not_found\""), "{}", missing.body);
+    }
+    let summary = srv.stop();
+    assert_eq!(summary.rejected, 2, "{summary:?}");
+}
+
+#[test]
 fn load_shed_full_queue_gets_429_and_in_flight_completes_identically() {
     let _g = guard();
     let rec = Arc::new(Recorder::new());

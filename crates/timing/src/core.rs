@@ -173,7 +173,7 @@ impl<'t> Core<'t> {
         let mut live = 0;
         for w in 0..self.wpb {
             let trace_idx = block * self.wpb + w;
-            let len = self.trace.warps[trace_idx].insts.len();
+            let len = self.trace.warps[trace_idx].len();
             self.warps[slot * self.wpb + w] = Some(WarpCtx {
                 trace_idx,
                 next: 0,
@@ -201,16 +201,19 @@ impl<'t> Core<'t> {
                 return Stall::Until(None);
             }
         }
-        let inst = &self.trace.warps[w.trace_idx].insts[w.next];
+        // Only the columns readiness needs: this runs for every candidate
+        // warp on every cycle.
+        let warp = &self.trace.warps[w.trace_idx];
         // Equation 4 convention: a consumer issues no earlier than the
         // producer's done cycle + 1.
-        let ready_at = inst.deps.iter().map(|&d| w.done[d as usize] + 1).max().unwrap_or(0);
+        let ready_at = warp.deps(w.next).iter().map(|&d| w.done[d as usize] + 1).max().unwrap_or(0);
         if ready_at > now {
             return Stall::Until(Some(ready_at));
         }
+        let kind = warp.kinds()[w.next];
         // Bounded write queue: a store cannot issue while the DRAM write
         // backlog is above the limit (memory-pipeline backpressure).
-        if inst.kind == InstKind::Store(MemSpace::Global) {
+        if kind == InstKind::Store(MemSpace::Global) {
             let admit = dram.write_admission_time(now);
             if admit > now {
                 return Stall::Until(Some(admit));
@@ -218,7 +221,7 @@ impl<'t> Core<'t> {
         }
         // Structural hazard: the SFU accepts one warp instruction per
         // initiation interval.
-        if inst.kind == InstKind::Sfu && self.sfu_free_at > now {
+        if kind == InstKind::Sfu && self.sfu_free_at > now {
             return Stall::Until(Some(self.sfu_free_at));
         }
         Stall::Ready
@@ -270,12 +273,12 @@ impl<'t> Core<'t> {
         let slot = idx / self.wpb;
         // `pick_warp` only returns indices of occupied slots.
         let Some(w) = self.warps[idx].as_mut() else { return };
-        let inst = &self.trace.warps[w.trace_idx].insts[w.next];
+        let inst = self.trace.warps[w.trace_idx].inst(w.next);
         let line_bytes = self.cfg.l1.line_bytes as u64;
 
         let done_cycle = match inst.kind {
             InstKind::Load(MemSpace::Global) => {
-                let lines = coalesce(&inst.addrs, line_bytes);
+                let lines = coalesce(inst.addrs, line_bytes);
                 let mut done = now + self.cfg.l1.latency;
                 for l in lines {
                     let line_done = if let Some(&fill) = self.mshr.pending.get(&l) {
@@ -305,7 +308,7 @@ impl<'t> Core<'t> {
             }
             InstKind::Store(MemSpace::Global) => {
                 // Write-through, no-allocate: traffic only; retires at once.
-                for l in coalesce(&inst.addrs, line_bytes) {
+                for l in coalesce(inst.addrs, line_bytes) {
                     let _ = l2.access(l, false);
                     dram.request_write(now, now + self.cfg.l2.latency);
                 }
@@ -347,7 +350,7 @@ impl<'t> Core<'t> {
         w.next += 1;
         self.issued += 1;
 
-        if w.next == self.trace.warps[w.trace_idx].insts.len() {
+        if w.next == self.trace.warps[w.trace_idx].len() {
             w.finished = true;
             self.slots[slot].live -= 1;
             if self.gto_current == Some(idx) {

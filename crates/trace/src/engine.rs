@@ -1,6 +1,6 @@
 //! The SIMT functional execution engine.
 //!
-//! Executes a kernel one warp at a time with a classic post-dominator
+//! Executes each warp of a kernel with a classic post-dominator
 //! reconvergence stack: on a divergent branch the current frame is re-aimed
 //! at the reconvergence PC and one frame per outcome is pushed; a frame
 //! whose PC reaches its reconvergence point is popped, merging its lanes
@@ -22,15 +22,18 @@
 //! fact against observed execution (`debug_assert!`), so the fast path is
 //! byte-identical to the per-lane path — see `tests/golden_workloads.rs`.
 
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
 use gpumech_analyze::{KernelAnalysis, RejectReason};
 use gpumech_isa::{
     kernel::{BranchCond, KernelError, NUM_REGS},
-    InstKind, Kernel, Operand, Reg, ValueOp, WarpId, WARP_SIZE,
+    BlockId, InstKind, Kernel, Operand, Reg, ValueOp, WarpId, WARP_SIZE,
 };
 use gpumech_obs::{CancelToken, Interrupt};
 
 use crate::launch::LaunchConfig;
-use crate::record::{KernelTrace, TraceInst, WarpTrace};
+use crate::record::{KernelTrace, WarpTrace};
 use crate::splitmix64;
 
 /// Upper bound on dynamic instructions per warp; exceeded only by a
@@ -140,7 +143,6 @@ const NO_RECONV: u32 = u32::MAX;
 
 /// Cache-line granularity the coalescing cross-checks assume; must match
 /// the 128-byte line the analyzer's `max_requests` bound is stated over.
-#[cfg(debug_assertions)]
 const LINE_SHIFT: u32 = 7;
 
 /// Options controlling trace generation. The default enables every
@@ -173,6 +175,9 @@ struct Frame {
 /// microseconds, rare enough that the clock read is amortized away.
 const CANCEL_CHECK_MASK: usize = 0x3FF;
 
+/// One warp's functional state. A machine is reused warp after warp: its
+/// register file, reconvergence stack and scoreboard are reset, not
+/// reallocated, at the start of every [`WarpMachine::run`].
 struct WarpMachine<'k> {
     kernel: &'k Kernel,
     analysis: &'k KernelAnalysis,
@@ -193,7 +198,6 @@ impl<'k> WarpMachine<'k> {
         opts: TraceOptions,
         cancel: &'k CancelToken,
         launch: LaunchConfig,
-        warp: WarpId,
     ) -> Self {
         Self {
             kernel,
@@ -201,9 +205,9 @@ impl<'k> WarpMachine<'k> {
             opts,
             cancel,
             launch,
-            warp,
+            warp: WarpId::new(0),
             regs: vec![[0u64; WARP_SIZE]; NUM_REGS],
-            stack: vec![Frame { pc: 0, mask: FULL_MASK, reconv: NO_RECONV }],
+            stack: Vec::new(),
             last_writer: [None; NUM_REGS],
         }
     }
@@ -223,43 +227,110 @@ impl<'k> WarpMachine<'k> {
         }
     }
 
-    fn eval(&self, op: ValueOp, srcs: &[Operand], lane: usize) -> u64 {
-        let v = |i: usize| self.operand(srcs[i], lane);
-        let fold = |f: fn(u64, u64) -> u64, init: u64| {
-            srcs.iter().map(|&s| self.operand(s, lane)).fold(init, f)
-        };
+    /// `op`'s value in every lane. Inactive lanes are computed too and
+    /// discarded by the caller: every value op is total, so evaluating a
+    /// whole warp at once is safe and lets the per-lane loops vectorize.
+    fn operand_lanes(&self, op: Operand) -> [u64; WARP_SIZE] {
         match op {
-            ValueOp::Mov => if srcs.is_empty() { 0 } else { v(0) },
-            ValueOp::Add => fold(u64::wrapping_add, 0),
-            ValueOp::Sub => v(0).wrapping_sub(v(1)),
-            ValueOp::Mul => fold(u64::wrapping_mul, 1),
-            ValueOp::Div => v(0) / v(1).max(1),
-            ValueOp::Rem => v(0) % v(1).max(1),
-            ValueOp::And => fold(|a, b| a & b, u64::MAX),
-            ValueOp::Xor => fold(|a, b| a ^ b, 0),
-            ValueOp::Shl => v(0) << (v(1) & 63),
-            ValueOp::Shr => v(0) >> (v(1) & 63),
-            ValueOp::Min => fold(u64::min, u64::MAX),
-            ValueOp::Max => fold(u64::max, 0),
-            ValueOp::CmpLt => u64::from(v(0) < v(1)),
-            ValueOp::CmpEq => u64::from(v(0) == v(1)),
-            ValueOp::CmpNe => u64::from(v(0) != v(1)),
-            ValueOp::Select => if v(0) != 0 { v(1) } else { v(2) },
-            ValueOp::Hash => splitmix64(fold(|a, b| a ^ b, 0)),
+            Operand::Reg(Reg(r)) => self.regs[r as usize],
+            Operand::Imm(v) => [v; WARP_SIZE],
+            Operand::Tid | Operand::Lane | Operand::TidInBlock => {
+                std::array::from_fn(|lane| self.operand(op, lane))
+            }
+            Operand::WarpInBlock | Operand::Block | Operand::Param(_) => {
+                [self.operand(op, 0); WARP_SIZE]
+            }
         }
     }
 
-    fn collect_deps(&self, srcs: &[Operand]) -> Vec<u32> {
-        let mut deps: Vec<u32> = srcs
-            .iter()
-            .filter_map(|s| match s {
-                Operand::Reg(Reg(r)) => self.last_writer[*r as usize],
-                _ => None,
-            })
-            .collect();
-        deps.sort_unstable();
-        deps.dedup();
-        deps
+    /// Folds every source into an accumulator starting at `init`.
+    fn fold_lanes(
+        &self,
+        srcs: &[Operand],
+        init: u64,
+        f: impl Fn(u64, u64) -> u64,
+    ) -> [u64; WARP_SIZE] {
+        let mut acc = [init; WARP_SIZE];
+        for &s in srcs {
+            for (a, x) in acc.iter_mut().zip(self.operand_lanes(s)) {
+                *a = f(*a, x);
+            }
+        }
+        acc
+    }
+
+    /// The value `op` computes from `srcs`, in every lane.
+    fn eval_lanes(&self, op: ValueOp, srcs: &[Operand]) -> [u64; WARP_SIZE] {
+        let v = |i: usize| self.operand_lanes(srcs[i]);
+        let zip = |f: fn(u64, u64) -> u64| {
+            let (a, b) = (v(0), v(1));
+            std::array::from_fn(|lane| f(a[lane], b[lane]))
+        };
+        match op {
+            ValueOp::Mov => if srcs.is_empty() { [0; WARP_SIZE] } else { v(0) },
+            ValueOp::Add => self.fold_lanes(srcs, 0, u64::wrapping_add),
+            ValueOp::Sub => zip(u64::wrapping_sub),
+            ValueOp::Mul => self.fold_lanes(srcs, 1, u64::wrapping_mul),
+            ValueOp::Div => zip(|a, b| a / b.max(1)),
+            ValueOp::Rem => zip(|a, b| a % b.max(1)),
+            ValueOp::And => self.fold_lanes(srcs, u64::MAX, |a, b| a & b),
+            ValueOp::Xor => self.fold_lanes(srcs, 0, |a, b| a ^ b),
+            ValueOp::Shl => zip(|a, b| a << (b & 63)),
+            ValueOp::Shr => zip(|a, b| a >> (b & 63)),
+            ValueOp::Min => self.fold_lanes(srcs, u64::MAX, u64::min),
+            ValueOp::Max => self.fold_lanes(srcs, 0, u64::max),
+            ValueOp::CmpLt => zip(|a, b| u64::from(a < b)),
+            ValueOp::CmpEq => zip(|a, b| u64::from(a == b)),
+            ValueOp::CmpNe => zip(|a, b| u64::from(a != b)),
+            ValueOp::Select => {
+                let (c, a, b) = (v(0), v(1), v(2));
+                std::array::from_fn(|lane| if c[lane] != 0 { a[lane] } else { b[lane] })
+            }
+            ValueOp::Hash => self.fold_lanes(srcs, 0, |a, b| a ^ b).map(splitmix64),
+        }
+    }
+
+    /// Appends the producers of `srcs`' registers to the dependency arena
+    /// and sorts and deduplicates what this instruction added.
+    fn push_deps(&self, srcs: &[Operand], deps: &mut Vec<u32>) {
+        let start = deps.len();
+        deps.extend(srcs.iter().filter_map(|s| match s {
+            Operand::Reg(Reg(r)) => self.last_writer[*r as usize],
+            _ => None,
+        }));
+        let added = &mut deps[start..];
+        added.sort_unstable();
+        let mut kept = 0;
+        for i in 0..added.len() {
+            if kept == 0 || added[i] != added[kept - 1] {
+                added[kept] = added[i];
+                kept += 1;
+            }
+        }
+        deps.truncate(start + kept);
+    }
+
+    /// Checks one warp access against the analyzer: the observed line count
+    /// must respect its per-warp coalescing bound, and the observed
+    /// shared-memory bank-conflict degree its full-mask bound.
+    fn cross_check_access(&self, pc: u32, addrs: &[u64]) {
+        if let Some(Some(access)) = self.analysis.coalescing.get(pc as usize) {
+            let lines = distinct_lines(addrs);
+            debug_assert!(
+                lines <= access.max_requests,
+                "pc {pc}: warp touched {lines} lines, static bound is {} ({:?})",
+                access.max_requests,
+                access.class,
+            );
+        }
+        if let Some(fact) = self.analysis.shared_fact(pc) {
+            let observed = observed_bank_degree(addrs);
+            debug_assert!(
+                observed <= fact.bank_degree,
+                "pc {pc}: warp hit {observed}-way bank conflict, static bound is {}-way",
+                fact.bank_degree,
+            );
+        }
     }
 
     /// Per-lane evaluation of a conditional branch: the mask of active
@@ -282,8 +353,15 @@ impl<'k> WarpMachine<'k> {
         t
     }
 
-    fn run(mut self) -> Result<(WarpTrace, RunStats), TraceError> {
-        let mut insts: Vec<TraceInst> = Vec::new();
+    /// Executes `warp` from its first instruction to its exit, writing
+    /// its trace into `out` (emptied first).
+    fn run(&mut self, warp: WarpId, out: &mut WarpTrace) -> Result<RunStats, TraceError> {
+        self.warp = warp;
+        self.regs.fill([0u64; WARP_SIZE]);
+        self.stack.clear();
+        self.stack.push(Frame { pc: 0, mask: FULL_MASK, reconv: NO_RECONV });
+        self.last_writer = [None; NUM_REGS];
+        out.reset(warp, self.launch.block_of_warp(warp));
         let mut stats = RunStats::default();
 
         while let Some(&top) = self.stack.last() {
@@ -291,59 +369,35 @@ impl<'k> WarpMachine<'k> {
                 self.stack.pop();
                 continue;
             }
-            if insts.len() >= MAX_DYN_INSTS_PER_WARP {
+            if out.len() >= MAX_DYN_INSTS_PER_WARP {
                 return Err(TraceError::InstLimit { warp: self.warp });
             }
-            if insts.len() & CANCEL_CHECK_MASK == 0 {
+            if out.len() & CANCEL_CHECK_MASK == 0 {
                 self.cancel.check().map_err(TraceError::Interrupted)?;
             }
 
             let inst = &self.kernel.insts[top.pc as usize];
             let mask = top.mask;
-            let idx = insts.len() as u32;
+            let idx = out.len() as u32;
 
-            // Record the dynamic instruction (addresses filled below).
-            let mut addrs = Vec::new();
-            if inst.kind.is_mem() {
-                addrs.reserve(mask.count_ones() as usize);
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) != 0 {
-                        addrs.push(self.operand(inst.srcs[0], lane));
-                    }
-                }
-                // Cross-check: the observed line count must respect the
-                // analyzer's per-warp coalescing bound.
-                #[cfg(debug_assertions)]
-                if let Some(Some(access)) = self.analysis.coalescing.get(top.pc as usize) {
-                    let lines = distinct_lines(&addrs);
-                    debug_assert!(
-                        lines <= access.max_requests,
-                        "pc {}: warp touched {lines} lines, static bound is {} ({:?})",
-                        top.pc,
-                        access.max_requests,
-                        access.class,
-                    );
-                }
-                // Cross-check: the observed shared-memory bank-conflict
-                // degree must respect the analyzer's full-mask bound.
-                #[cfg(debug_assertions)]
-                if let Some(fact) = self.analysis.shared_fact(top.pc) {
-                    let observed = observed_bank_degree(&addrs);
-                    debug_assert!(
-                        observed <= fact.bank_degree,
-                        "pc {}: warp hit {observed}-way bank conflict, static bound is {}-way",
-                        top.pc,
-                        fact.bank_degree,
-                    );
+            // Record the dynamic instruction straight into the columns.
+            out.pcs.push(top.pc);
+            out.kinds.push(inst.kind);
+            out.masks.push(mask);
+            self.push_deps(&inst.srcs, &mut out.deps);
+            // A memory instruction's per-lane addresses (a load's value is
+            // a function of its address).
+            let addrs = inst.kind.is_mem().then(|| self.operand_lanes(inst.srcs[0]));
+            if let Some(lanes) = addrs {
+                let start = out.addrs.len();
+                out.addrs.extend(active(mask).map(|lane| lanes[lane]));
+                // Debug builds check every observed access against the
+                // analyzer's static verdicts.
+                if cfg!(debug_assertions) {
+                    self.cross_check_access(top.pc, &out.addrs[start..]);
                 }
             }
-            insts.push(TraceInst {
-                pc: top.pc,
-                kind: inst.kind,
-                deps: self.collect_deps(&inst.srcs),
-                active_mask: mask,
-                addrs,
-            });
+            out.seal()?;
 
             match inst.kind {
                 InstKind::Branch => {
@@ -410,7 +464,7 @@ impl<'k> WarpMachine<'k> {
                                 });
                             };
                             frame.pc = reconv;
-                            let fall_pc = insts[idx as usize].pc + 1;
+                            let fall_pc = top.pc + 1;
                             self.stack.push(Frame { pc: fall_pc, mask: fall, reconv });
                             self.stack.push(Frame { pc: target, mask: taken, reconv });
                         }
@@ -426,23 +480,15 @@ impl<'k> WarpMachine<'k> {
                 }
                 _ => {
                     if let Some(Reg(dst)) = inst.dst {
-                        if inst.kind == InstKind::Load(gpumech_isa::MemSpace::Global)
-                            || inst.kind == InstKind::Load(gpumech_isa::MemSpace::Shared)
-                        {
-                            for lane in 0..WARP_SIZE {
-                                if mask & (1 << lane) != 0 {
-                                    let addr = self.operand(inst.srcs[0], lane);
-                                    self.regs[dst as usize][lane] =
-                                        splitmix64(addr ^ MEMORY_SEED);
-                                }
+                        let values = match addrs {
+                            Some(lanes) if matches!(inst.kind, InstKind::Load(_)) => {
+                                lanes.map(|addr| splitmix64(addr ^ MEMORY_SEED))
                             }
-                        } else {
-                            for lane in 0..WARP_SIZE {
-                                if mask & (1 << lane) != 0 {
-                                    self.regs[dst as usize][lane] =
-                                        self.eval(inst.op, &inst.srcs, lane);
-                                }
-                            }
+                            _ => self.eval_lanes(inst.op, &inst.srcs),
+                        };
+                        let reg = &mut self.regs[dst as usize];
+                        for lane in active(mask) {
+                            reg[lane] = values[lane];
                         }
                         self.last_writer[dst as usize] = Some(idx);
                     }
@@ -452,15 +498,13 @@ impl<'k> WarpMachine<'k> {
             }
         }
 
-        Ok((
-            WarpTrace {
-                warp: self.warp,
-                block: self.launch.block_of_warp(self.warp),
-                insts,
-            },
-            stats,
-        ))
+        Ok(stats)
     }
+}
+
+/// The active lanes of `mask`, in ascending order.
+fn active(mask: u32) -> impl Iterator<Item = usize> {
+    (0..WARP_SIZE).filter(move |&lane| mask & (1 << lane) != 0)
 }
 
 /// Branch-behaviour tallies from one warp's functional execution,
@@ -481,7 +525,6 @@ impl RunStats {
     }
 }
 
-#[cfg(debug_assertions)]
 fn distinct_lines(addrs: &[u64]) -> u32 {
     let mut lines: Vec<u64> = addrs.iter().map(|a| a >> LINE_SHIFT).collect();
     lines.sort_unstable();
@@ -492,7 +535,6 @@ fn distinct_lines(addrs: &[u64]) -> u32 {
 /// Bank-conflict degree of one warp access under the default 32-bank × 4 B
 /// geometry (the model the pre-trace analysis uses): max distinct words in
 /// any one bank, lanes sharing a word broadcasting in one cycle.
-#[cfg(debug_assertions)]
 fn observed_bank_degree(addrs: &[u64]) -> u32 {
     let mut words: Vec<(u64, u64)> = addrs.iter().map(|a| ((a / 4) % 32, a / 4)).collect();
     words.sort_unstable();
@@ -548,24 +590,33 @@ pub fn trace_warp(
 ) -> Result<WarpTrace, TraceError> {
     let analysis = pre_trace_analysis(kernel)?;
     let cancel = CancelToken::never();
-    let (trace, stats) =
-        WarpMachine::new(kernel, &analysis, TraceOptions::default(), &cancel, launch, warp).run()?;
-    gpumech_obs::counter!("trace.engine.insts", trace.insts.len() as u64);
+    let mut trace = WarpTrace::new(warp, launch.block_of_warp(warp));
+    let stats = WarpMachine::new(kernel, &analysis, TraceOptions::default(), &cancel, launch)
+        .run(warp, &mut trace)?;
+    gpumech_obs::counter!("trace.engine.insts", trace.len() as u64);
     gpumech_obs::counter!("trace.engine.divergent_branches", stats.divergent_branches);
     gpumech_obs::counter!("trace.engine.uniform_branches", stats.uniform_branches);
     Ok(trace)
 }
 
 /// Functionally executes every warp of a launch and returns the full kernel
-/// trace. Warps are independent (no inter-thread communication in the IR),
-/// so this is simply one warp machine per warp over the grid, sharing one
+/// trace, warps in grid order. Warps are independent (no inter-thread
+/// communication in the IR), so they are traced in parallel, sharing one
 /// static analysis.
 ///
 /// # Errors
 ///
-/// Propagates the first [`TraceError`] encountered.
+/// When several warps fail, the error of the lowest-numbered one.
 pub fn trace_kernel(kernel: &Kernel, launch: LaunchConfig) -> Result<KernelTrace, TraceError> {
     trace_kernel_cancellable(kernel, launch, TraceOptions::default(), &CancelToken::never())
+}
+
+/// What one tracing worker produced: its finished warps (by grid index),
+/// its branch tallies, and the error that stopped it, if any.
+struct WorkerOutput {
+    warps: Vec<(usize, WarpTrace)>,
+    stats: RunStats,
+    error: Option<(usize, TraceError)>,
 }
 
 /// [`trace_kernel`] with explicit [`TraceOptions`] under a
@@ -575,9 +626,18 @@ pub fn trace_kernel(kernel: &Kernel, launch: LaunchConfig) -> Result<KernelTrace
 /// work. The options A/B the analysis-guided fast paths against the
 /// conservative per-lane execution.
 ///
+/// Warps go to `min(available_parallelism, warps)` scoped workers (the
+/// calling thread is one of them) through one atomic index. Each worker
+/// reuses one warp machine and one set of column buffers, copies every
+/// finished warp out into exact-size columns, and stops claiming warps
+/// once any warp has failed. Indices are claimed in increasing order, so
+/// every warp below a failed one was claimed before it and still runs to
+/// its end: the error returned is always the lowest-numbered warp's, as a
+/// one-warp-at-a-time trace would report.
+///
 /// # Errors
 ///
-/// Propagates the first [`TraceError`] encountered;
+/// When several warps fail, the error of the lowest-numbered one;
 /// [`TraceError::Interrupted`] once `cancel` fires.
 pub fn trace_kernel_cancellable(
     kernel: &Kernel,
@@ -587,21 +647,65 @@ pub fn trace_kernel_cancellable(
 ) -> Result<KernelTrace, TraceError> {
     let _span = gpumech_obs::span!("trace.engine.kernel", name = kernel.name.as_str());
     let analysis = pre_trace_analysis(kernel)?;
+    let n = launch.total_warps();
+    // Relaxed: the index and the flag publish no data of their own; the
+    // traces travel back through the joins.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let work = || {
+        let mut machine = WarpMachine::new(kernel, &analysis, opts, cancel, launch);
+        let mut scratch = WarpTrace::new(WarpId::new(0), BlockId::new(0));
+        let mut out = WorkerOutput { warps: Vec::new(), stats: RunStats::default(), error: None };
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let run = cancel
+                .check()
+                .map_err(TraceError::Interrupted)
+                .and_then(|()| machine.run(WarpId::new(i as u32), &mut scratch));
+            match run {
+                Ok(stats) => {
+                    out.stats.absorb(stats);
+                    out.warps.push((i, scratch.clone()));
+                }
+                Err(e) => {
+                    failed.store(true, Ordering::Relaxed);
+                    out.error = Some((i, e));
+                    break;
+                }
+            }
+        }
+        out
+    };
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get).min(n);
+    let outputs: Vec<WorkerOutput> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut outputs = vec![work()];
+        for h in helpers {
+            outputs.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+        outputs
+    });
+
     let mut stats = RunStats::default();
-    let warps = launch
-        .warps()
-        .map(|w| {
-            cancel.check().map_err(TraceError::Interrupted)?;
-            WarpMachine::new(kernel, &analysis, opts, cancel, launch, w).run().map(|(t, s)| {
-                stats.absorb(s);
-                t
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut warps = Vec::with_capacity(n);
+    let mut errors = Vec::new();
+    for out in outputs {
+        stats.absorb(out.stats);
+        warps.extend(out.warps);
+        errors.extend(out.error);
+    }
+    if let Some((_, e)) = errors.into_iter().min_by_key(|&(i, _)| i) {
+        return Err(e);
+    }
+    warps.sort_unstable_by_key(|&(i, _)| i);
+    let warps: Vec<WarpTrace> = warps.into_iter().map(|(_, w)| w).collect();
     gpumech_obs::counter!("trace.engine.warps", warps.len() as u64);
     gpumech_obs::counter!(
         "trace.engine.insts",
-        warps.iter().map(|w| w.insts.len() as u64).sum::<u64>()
+        warps.iter().map(|w| w.len() as u64).sum::<u64>()
     );
     gpumech_obs::counter!("trace.engine.divergent_branches", stats.divergent_branches);
     gpumech_obs::counter!("trace.engine.uniform_branches", stats.uniform_branches);
@@ -627,10 +731,10 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         assert_eq!(t.len(), 4); // 3 + exit
-        assert_eq!(t.insts[0].deps, Vec::<u32>::new());
-        assert_eq!(t.insts[1].deps, vec![0]);
-        assert_eq!(t.insts[2].deps, vec![0, 1]);
-        assert_eq!(t.insts[0].active_mask, u32::MAX);
+        assert_eq!(t.inst(0).deps, &[] as &[u32]);
+        assert_eq!(t.inst(1).deps, &[0]);
+        assert_eq!(t.inst(2).deps, &[0, 1]);
+        assert_eq!(t.inst(0).active_mask, u32::MAX);
     }
 
     #[test]
@@ -650,17 +754,17 @@ mod tests {
         // Instruction stream: cmp, branch, (then add OR else path first
         // depending on taken order) ... we take the branch-taken path first,
         // which for IfZero is the *else* arm (lanes >= 8).
-        let masks: Vec<(u32, u32)> = t.insts.iter().map(|i| (i.pc, i.active_mask)).collect();
+        let masks: Vec<(u32, u32)> = t.insts().map(|i| (i.pc, i.active_mask)).collect();
         // cmp and branch run under the full mask.
         assert_eq!(masks[0], (0, u32::MAX));
         assert_eq!(masks[1], (1, u32::MAX));
         // Both arms appear, with complementary masks.
-        let then_inst = t.insts.iter().find(|i| i.pc == 2).expect("then arm executed");
-        let else_inst = t.insts.iter().find(|i| i.pc == 4).expect("else arm executed");
+        let then_inst = t.insts().find(|i| i.pc == 2).expect("then arm executed");
+        let else_inst = t.insts().find(|i| i.pc == 4).expect("else arm executed");
         assert_eq!(then_inst.active_mask, then_mask);
         assert_eq!(else_inst.active_mask, !then_mask);
         // The reconverged instruction runs under the full mask again.
-        let merged = t.insts.iter().find(|i| i.pc == 5).expect("reconverged inst");
+        let merged = t.insts().find(|i| i.pc == 5).expect("reconverged inst");
         assert_eq!(merged.active_mask, u32::MAX);
     }
 
@@ -676,8 +780,8 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
         // Else arm (pc 4) never executes.
-        assert!(t.insts.iter().all(|i| i.pc != 4));
-        assert!(t.insts.iter().any(|i| i.pc == 2 && i.active_mask == u32::MAX));
+        assert!(t.insts().all(|i| i.pc != 4));
+        assert!(t.insts().any(|i| i.pc == 2 && i.active_mask == u32::MAX));
     }
 
     #[test]
@@ -698,14 +802,14 @@ mod tests {
         // retire (trip counts 0/1 retire after iteration 1, trip 2 after
         // iteration 2, trip 3 after iteration 3).
         let body_masks: Vec<u32> =
-            t.insts.iter().filter(|i| i.pc == 2).map(|i| i.active_mask).collect();
+            t.insts().filter(|i| i.pc == 2).map(|i| i.active_mask).collect();
         assert_eq!(body_masks.len(), 3);
         assert_eq!(body_masks[0], u32::MAX);
         assert!(body_masks.windows(2).all(|w| (w[1] & !w[0]) == 0), "masks only shrink");
         assert_eq!(body_masks[1].count_ones(), 16, "half the lanes reach trip 2");
         assert_eq!(body_masks[2].count_ones(), 8, "one lane in four reaches trip 3");
         // After the loop, everyone reconverges.
-        let merged = t.insts.iter().rev().find(|i| i.kind == InstKind::IntAlu).unwrap();
+        let merged = t.insts().rev().find(|i| i.kind == InstKind::IntAlu).unwrap();
         assert_eq!(merged.active_mask, u32::MAX);
     }
 
@@ -717,13 +821,13 @@ mod tests {
         let k = b.finish(vec![]);
         let t = trace_warp(&k, LaunchConfig::new(64, 2), WarpId::new(3)).unwrap();
 
-        let load = t.insts.iter().find(|i| i.kind == InstKind::Load(MemSpace::Global)).unwrap();
+        let load = t.insts().find(|i| i.kind == InstKind::Load(MemSpace::Global)).unwrap();
         assert_eq!(load.addrs.len(), 32);
         // Warp 3 covers tids 96..128 → addresses 0x1000 + 4*tid.
         assert_eq!(load.addrs[0], 0x1000 + 4 * 96);
         assert_eq!(load.addrs[31], 0x1000 + 4 * 127);
 
-        let store = t.insts.iter().find(|i| i.kind == InstKind::Store(MemSpace::Global)).unwrap();
+        let store = t.insts().find(|i| i.kind == InstKind::Store(MemSpace::Global)).unwrap();
         assert_eq!(store.addrs.len(), 32);
         assert_eq!(store.addrs[1] - store.addrs[0], 128, "one line per lane");
     }
@@ -735,8 +839,8 @@ mod tests {
         let _ = b.fp_add(&[Operand::Reg(x), Operand::Imm(1)]);
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
-        let load_idx = t.insts.iter().position(|i| i.kind.is_global_load()).unwrap() as u32;
-        let consumer = t.insts.iter().find(|i| i.kind == InstKind::FpAdd).unwrap();
+        let load_idx = t.insts().position(|i| i.kind.is_global_load()).unwrap() as u32;
+        let consumer = t.insts().find(|i| i.kind == InstKind::FpAdd).unwrap();
         assert!(consumer.deps.contains(&load_idx));
     }
 
@@ -809,6 +913,108 @@ mod tests {
     }
 
     #[test]
+    fn every_kernel_warp_equals_its_single_warp_trace() {
+        // One control-divergent and one memory-divergent workload: the
+        // parallel tracer must store each warp exactly as tracing that
+        // warp alone produces it, in grid order.
+        for name in ["bfs_kernel1", "kmeans_invert_mapping"] {
+            let w = crate::workloads::by_name(name).unwrap().with_blocks(4);
+            let t = trace_kernel(&w.kernel, w.launch).unwrap();
+            assert_eq!(t.warps.len(), w.launch.total_warps());
+            for (i, warp) in t.warps.iter().enumerate() {
+                let alone = trace_warp(&w.kernel, w.launch, WarpId::new(i as u32)).unwrap();
+                assert_eq!(*warp, alone, "{name}: warp {i}");
+            }
+        }
+    }
+
+    /// A kernel whose warps `first_stuck..` loop forever and whose earlier
+    /// warps run the loop body once. Warp `first_stuck` also loads inside
+    /// the loop, so it is the slowest to reach the instruction limit: a
+    /// tracer that reported whichever failure came first would name a
+    /// later warp.
+    fn stuck_from(first_stuck: u64) -> Kernel {
+        let mut b = KernelBuilder::new("k");
+        let stuck = b.alu(ValueOp::CmpLt, &[Operand::Imm(first_stuck * 32 - 1), Operand::Tid]);
+        let warp = b.alu(ValueOp::Div, &[Operand::Tid, Operand::Imm(32)]);
+        let slow = b.alu(ValueOp::CmpEq, &[Operand::Reg(warp), Operand::Imm(first_stuck)]);
+        b.loop_begin();
+        b.if_begin(Operand::Reg(slow));
+        let _ = b.load_pattern(AddrPattern::Coalesced { base: 0x1000, elem_bytes: 4 });
+        b.if_end();
+        b.loop_end_while(Operand::Reg(stuck));
+        b.finish(vec![])
+    }
+
+    #[test]
+    fn several_failing_warps_report_the_lowest_numbered_one() {
+        let k = stuck_from(2);
+        let launch = LaunchConfig::new(32, 4);
+        for w in 0..2 {
+            assert!(trace_warp(&k, launch, WarpId::new(w)).is_ok(), "warp {w} terminates");
+        }
+        for w in 2..4 {
+            let err = trace_warp(&k, launch, WarpId::new(w)).unwrap_err();
+            assert_eq!(err, TraceError::InstLimit { warp: WarpId::new(w) });
+        }
+        let err = trace_kernel(&k, launch).unwrap_err();
+        assert_eq!(err, TraceError::InstLimit { warp: WarpId::new(2) });
+    }
+
+    /// A clock that never reaches a deadline and, on its `at`-th read,
+    /// signals `reached` and blocks until `resume`: the reading worker is
+    /// held mid-trace while the test cancels the token.
+    struct PauseAt {
+        reads: std::sync::atomic::AtomicU64,
+        at: u64,
+        reached: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+        resume: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl gpumech_obs::Clock for PauseAt {
+        fn now_ns(&self) -> u64 {
+            if self.reads.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
+                self.reached.lock().unwrap().send(()).unwrap();
+                self.resume.lock().unwrap().recv().unwrap();
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn cancelling_mid_trace_interrupts_and_joins_every_worker() {
+        // 16 warps of ~600k instructions each, polled every 1024: the
+        // 100th poll comes early in the trace, and no warp hits the limit.
+        let mut b = KernelBuilder::new("k");
+        let i = b.alu(ValueOp::Mov, &[Operand::Imm(0)]);
+        b.loop_begin();
+        b.alu_into(i, ValueOp::Add, &[Operand::Reg(i), Operand::Imm(1)]);
+        let c = b.alu(ValueOp::CmpLt, &[Operand::Reg(i), Operand::Imm(200_000)]);
+        b.loop_end_while(Operand::Reg(c));
+        let k = b.finish(vec![]);
+        let (reached_tx, reached) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel();
+        let clock = PauseAt {
+            reads: std::sync::atomic::AtomicU64::new(0),
+            at: 100,
+            reached: std::sync::Mutex::new(reached_tx),
+            resume: std::sync::Mutex::new(resume_rx),
+        };
+        let cancel = CancelToken::with_clock(std::sync::Arc::new(clock), u64::MAX - 1);
+        let cancel = &cancel;
+        let err = std::thread::scope(|s| {
+            s.spawn(move || {
+                reached.recv().unwrap();
+                cancel.cancel();
+                resume.send(()).unwrap();
+            });
+            trace_kernel_cancellable(&k, LaunchConfig::new(128, 4), TraceOptions::default(), cancel)
+                .unwrap_err()
+        });
+        assert_eq!(err, TraceError::Interrupted(Interrupt::Cancelled));
+    }
+
+    #[test]
     fn nested_divergence_restores_masks() {
         let mut b = KernelBuilder::new("k");
         let c1 = b.alu(ValueOp::CmpLt, &[Operand::Lane, Operand::Imm(16)]);
@@ -822,7 +1028,7 @@ mod tests {
         let _ = b.alu(ValueOp::Add, &[Operand::Imm(3)]); // all lanes
         let k = b.finish(vec![]);
         let t = trace_warp(&k, launch1(), WarpId::new(0)).unwrap();
-        let by_pc = |pc: u32| t.insts.iter().find(|i| i.pc == pc).map(|i| i.active_mask);
+        let by_pc = |pc: u32| t.insts().find(|i| i.pc == pc).map(|i| i.active_mask);
         assert_eq!(by_pc(4), Some(0xFF), "inner body: lanes 0..8");
         assert_eq!(by_pc(5), Some(0xFFFF), "outer body after inner merge: lanes 0..16");
         assert_eq!(by_pc(6), Some(u32::MAX), "full reconvergence");

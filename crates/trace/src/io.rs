@@ -33,7 +33,7 @@ use gpumech_isa::{BlockId, InstKind, MemSpace, WarpId};
 
 use crate::engine::TraceError;
 use crate::launch::LaunchConfig;
-use crate::record::{KernelTrace, TraceInst, WarpTrace};
+use crate::record::{DynInst, KernelTrace, WarpTrace};
 
 const MAGIC: &[u8; 8] = b"GPUMECHT";
 const VERSION: u8 = 1;
@@ -168,8 +168,8 @@ pub fn encode(trace: &KernelTrace) -> Vec<u8> {
     put_varint(&mut out, trace.warps.len() as u64);
 
     for warp in &trace.warps {
-        put_varint(&mut out, warp.insts.len() as u64);
-        for inst in &warp.insts {
+        put_varint(&mut out, warp.len() as u64);
+        for inst in warp.insts() {
             put_varint(&mut out, u64::from(inst.pc));
             out.push(kind_tag(inst.kind));
             put_varint(&mut out, inst.deps.len() as u64);
@@ -177,7 +177,7 @@ pub fn encode(trace: &KernelTrace) -> Vec<u8> {
             // encoder total on corrupt (unsorted) inputs; the decoder's
             // wrapping add inverts it exactly either way.
             let mut prev = 0u64;
-            for &d in &inst.deps {
+            for &d in inst.deps {
                 put_varint(&mut out, u64::from(d).wrapping_sub(prev));
                 prev = u64::from(d);
             }
@@ -185,7 +185,7 @@ pub fn encode(trace: &KernelTrace) -> Vec<u8> {
             put_varint(&mut out, inst.addrs.len() as u64);
             // Addresses are usually strided: zigzag-delta-code them.
             let mut prev = 0i64;
-            for &a in &inst.addrs {
+            for &a in inst.addrs {
                 let cur = a as i64;
                 put_varint(&mut out, zigzag(cur.wrapping_sub(prev)));
                 prev = cur;
@@ -236,16 +236,22 @@ pub fn decode(buf: &[u8]) -> Result<KernelTrace, DecodeError> {
     let num_warps = get_varint(buf, &mut pos)? as usize;
 
     let mut warps = Vec::with_capacity(capped_capacity(num_warps, buf, pos));
+    // One instruction's dependencies and addresses, reused across the trace.
+    let (mut deps, mut addrs) = (Vec::new(), Vec::new());
     for w in 0..num_warps {
         let n_insts = get_varint(buf, &mut pos)? as usize;
-        let mut insts = Vec::with_capacity(capped_capacity(n_insts, buf, pos));
+        let mut warp = WarpTrace::new(
+            WarpId::new(w as u32),
+            BlockId::new((w / launch.warps_per_block()) as u32),
+        );
         for _ in 0..n_insts {
             let pc = get_varint(buf, &mut pos)? as u32;
             let tag = *buf.get(pos).ok_or(DecodeError::Truncated)?;
             pos += 1;
             let kind = tag_kind(tag)?;
             let n_deps = get_varint(buf, &mut pos)? as usize;
-            let mut deps = Vec::with_capacity(capped_capacity(n_deps, buf, pos));
+            deps.clear();
+            deps.reserve(capped_capacity(n_deps, buf, pos));
             let mut prev = 0u64;
             for _ in 0..n_deps {
                 prev = prev.wrapping_add(get_varint(buf, &mut pos)?);
@@ -259,20 +265,17 @@ pub fn decode(buf: &[u8]) -> Result<KernelTrace, DecodeError> {
             let active_mask = u32::from_le_bytes(mask_bytes);
             pos = mask_end;
             let n_addrs = get_varint(buf, &mut pos)? as usize;
-            let mut addrs = Vec::with_capacity(capped_capacity(n_addrs, buf, pos));
+            addrs.clear();
+            addrs.reserve(capped_capacity(n_addrs, buf, pos));
             let mut prev = 0i64;
             for _ in 0..n_addrs {
                 prev = prev.wrapping_add(unzigzag(get_varint(buf, &mut pos)?));
                 addrs.push(prev as u64);
             }
-            insts.push(TraceInst { pc, kind, deps, active_mask, addrs });
+            warp.push(DynInst { pc, kind, deps: &deps, active_mask, addrs: &addrs })
+                .map_err(|e| DecodeError::Invalid(e.to_string()))?;
         }
-        let warp_id = WarpId::new(w as u32);
-        warps.push(WarpTrace {
-            warp: warp_id,
-            block: BlockId::new((w / launch.warps_per_block()) as u32),
-            insts,
-        });
+        warps.push(warp);
     }
     let trace = KernelTrace { name, launch, warps };
     trace.validate().map_err(|e| DecodeError::Invalid(e.to_string()))?;

@@ -27,7 +27,7 @@
 //! let launch = LaunchConfig::new(64, 4); // 64 threads/block, 4 blocks
 //! let trace = trace_kernel(&kernel, launch)?;
 //! assert_eq!(trace.warps.len(), 8);
-//! assert!(trace.warps[0].insts.len() >= 4);
+//! assert!(trace.warps[0].len() >= 4);
 //! # Ok::<(), gpumech_trace::TraceError>(())
 //! ```
 
@@ -42,7 +42,7 @@ pub use engine::{
     MAX_DYN_INSTS_PER_WARP,
 };
 pub use launch::LaunchConfig;
-pub use record::{KernelTrace, TraceInst, WarpTrace};
+pub use record::{DynInst, KernelTrace, WarpTrace};
 pub use workloads::{DivergenceClass, Suite, Workload};
 
 /// Deterministic 64-bit mixer (SplitMix64 finalizer). Used for synthetic

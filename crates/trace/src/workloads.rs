@@ -795,8 +795,8 @@ mod tests {
     fn coalesced_workloads_have_low_request_counts() {
         let w = by_name("sdk_vectoradd").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
-        for inst in t.warps[0].insts.iter().filter(|i| i.kind.is_global_mem()) {
-            assert!(requests(&inst.addrs) <= 2, "vectoradd should coalesce: {:?}", inst.addrs);
+        for inst in t.warps[0].insts().filter(|i| i.kind.is_global_mem()) {
+            assert!(requests(inst.addrs) <= 2, "vectoradd should coalesce: {:?}", inst.addrs);
         }
     }
 
@@ -805,10 +805,9 @@ mod tests {
         let w = by_name("sdk_transpose").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
         let max_req = t.warps[0]
-            .insts
-            .iter()
+            .insts()
             .filter(|i| i.kind.is_global_store())
-            .map(|i| requests(&i.addrs))
+            .map(|i| requests(i.addrs))
             .max()
             .unwrap();
         assert_eq!(max_req, 32, "transpose stores should be fully divergent");
@@ -816,10 +815,9 @@ mod tests {
         let w = by_name("kmeans_invert_mapping").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
         let max_req = t.warps[0]
-            .insts
-            .iter()
+            .insts()
             .filter(|i| i.kind.is_global_store())
-            .map(|i| requests(&i.addrs))
+            .map(|i| requests(i.addrs))
             .max()
             .unwrap();
         assert!(max_req >= 30, "invert_mapping stores should be ~fully divergent, got {max_req}");
@@ -830,10 +828,9 @@ mod tests {
         let w = by_name("cfd_compute_flux").unwrap().with_blocks(1);
         let t = w.trace().unwrap();
         let reqs: Vec<usize> = t.warps[0]
-            .insts
-            .iter()
+            .insts()
             .filter(|i| i.kind.is_global_load())
-            .map(|i| requests(&i.addrs))
+            .map(|i| requests(i.addrs))
             .collect();
         let max = *reqs.iter().max().unwrap();
         // 32 lanes x 64 B stride = 16 lines, +1 when the region wrap splits
@@ -869,8 +866,7 @@ mod tests {
         let t = crate::trace_kernel(&k, LaunchConfig::new(32, 1)).unwrap();
         let wt = &t.warps[0];
         let load_idxs: Vec<u32> = wt
-            .insts
-            .iter()
+            .insts()
             .enumerate()
             .filter(|(_, i)| i.kind.is_global_load())
             .map(|(n, _)| n as u32)
@@ -889,7 +885,7 @@ mod tests {
                     break;
                 }
                 if seen.insert(n) {
-                    frontier.extend(wt.insts[n as usize].deps.iter().copied());
+                    frontier.extend(wt.inst(n as usize).deps.iter().copied());
                 }
             }
             assert!(reaches, "load {next} does not depend on load {prev}");
@@ -922,7 +918,7 @@ mod tests {
         let t = w.trace().unwrap();
         let hot_base = 1u64 << 32; // region(0)
         let (mut hot, mut cold) = (0usize, 0usize);
-        for inst in t.warps.iter().flat_map(|wt| wt.insts.iter()) {
+        for inst in t.warps.iter().flat_map(WarpTrace::insts) {
             if inst.kind.is_global_load() {
                 if inst.addrs.iter().all(|&a| a >= hot_base && a < hot_base + (1 << 20)) {
                     hot += 1;

@@ -50,7 +50,7 @@ fn static_bank_bounds_dominate_observed_degrees() {
         let analysis = analyze(&w.kernel);
         let trace = w.trace().expect("library workloads trace cleanly");
         for warp in &trace.warps {
-            for inst in &warp.insts {
+            for inst in warp.insts() {
                 if !matches!(
                     inst.kind,
                     InstKind::Load(MemSpace::Shared) | InstKind::Store(MemSpace::Shared)
@@ -61,7 +61,7 @@ fn static_bank_bounds_dominate_observed_degrees() {
                 let fact = analysis
                     .shared_fact(inst.pc)
                     .unwrap_or_else(|| panic!("{}: no fact for shared pc {}", w.name, inst.pc));
-                let observed = observed_degree(&inst.addrs);
+                let observed = observed_degree(inst.addrs);
                 assert!(
                     observed <= fact.bank_degree,
                     "{}: pc {} observed {observed}-way, static bound {}-way",
@@ -89,12 +89,12 @@ fn static_race_pairs_cover_observed_conflicts() {
         let mut touches: Touches = HashMap::new();
         for warp in &trace_of(&w).warps {
             let mut interval = 0u32;
-            for inst in &warp.insts {
+            for inst in warp.insts() {
                 match inst.kind {
                     InstKind::Sync => interval += 1,
                     InstKind::Load(MemSpace::Shared) | InstKind::Store(MemSpace::Shared) => {
                         let store = matches!(inst.kind, InstKind::Store(MemSpace::Shared));
-                        for &addr in &inst.addrs {
+                        for &addr in inst.addrs {
                             touches
                                 .entry((warp.block.index(), interval, addr))
                                 .or_default()
